@@ -454,23 +454,36 @@ let run ?(fuel = 200_000_000) (target : Target.t) (layout : Layout.t)
   { r_cycles = st.cycles; r_instructions = st.executed }
 
 (* ---------------------------------------------------------------------- *)
-(* Pre-resolved execution plans.
+(* Block-threaded execution plans.
 
    [prepare] does once, at JIT-compile time, everything [run] re-derives
-   on every invocation: label -> pc resolution, per-pc cycle costs (with
-   the x87 blending), parameter-binding closures, and symbol interning
-   for effective addresses.  The common scalar instructions additionally
-   compile to specialized closures that work on the raw register arrays;
-   everything else falls back to [exec] on the same state, so a plan is
-   cycle-, instruction-, fault- and bit-exact against [run] by
-   construction.  [run_plan] reuses one scratch state per plan — zero
-   per-run setup allocation. *)
+   on every invocation: label resolution, cycle costs (with the x87
+   blending), parameter-binding closures, and symbol interning for
+   effective addresses.  The code is cut into straight-line blocks —
+   leaders are pc 0, every [Label], and every pc after a [Jmp] or [Br] —
+   and each block compiles to a chain of specialized closures, each
+   tail-calling its successor, that ends in the block's exit: the index
+   of the next block, or the block count to halt.  A block's cycle sum
+   and instruction count are charged, and fuel tested, once on entry.
+   A block that could cross the fuel limit is instead stepped
+   instruction by instruction through [exec], with [run]'s own per-pc
+   fuel test, so the fault surfaces exactly where [run] raises it.
+   Instructions without a fast path fall back to [exec] on the same
+   state, so a plan is cycle-, instruction-, fault- and bit-exact
+   against [run] by construction.  [run_plan] reuses one scratch state
+   per plan — zero per-run setup allocation. *)
+
+type block = {
+  b_start : int; (* pc of the leader *)
+  b_count : int; (* instructions in the block, terminator included *)
+  b_cost : int; (* their cycle sum, x87-blended *)
+  b_run : state -> int; (* executes the block; returns the next block *)
+}
 
 type plan = {
   p_target : Target.t;
   p_mfun : Mfun.t;
-  p_cost : int array; (* per-pc cycle cost, x87-blended *)
-  p_code : (state -> int) array; (* action; returns the next pc *)
+  p_blocks : block array; (* block 0 is entered first *)
   p_syms : string array; (* interned address symbols *)
   p_bases : int array; (* per-run resolved bases; min_int = unresolved *)
   p_binders : (state -> (string * Value.t) list -> unit) array;
@@ -478,6 +491,28 @@ type plan = {
 }
 
 let plan_target p = p.p_target
+
+(* Cycle cost of one instruction, with the x87 blending [run] applies. *)
+let instr_cost (target : Target.t) ~x87 ins =
+  if x87 && is_scalar_fp ins then target.Target.costs.Target.c_x87_fp_op
+  else Minstr.cost target ins
+
+(* The base of interned symbol [k] in this run's layout.  Bases are
+   resolved once per run; an unresolved symbol faults lazily, with
+   Layout.base_of's own exception, only where an address uses it. *)
+let[@inline] sym_base bases k sym st =
+  let b = Array.unsafe_get bases k in
+  if b = min_int then Layout.base_of st.layout sym else b
+
+(* [Src_type.normalize_int] written as mask arithmetic over the
+   [norm_consts] pair of the type, so it inlines into the actions. *)
+let[@inline] norm nm ns z =
+  let z = z land nm in
+  if z land ns <> 0 then z - nm - 1 else z
+
+(* The rule the reference engine applies to [Br] at I64. *)
+let branch_taken op x y =
+  Value.is_true (Value.binop Src_type.I64 op (Value.Int x) (Value.Int y))
 
 (* Collect the address symbols an instruction can reference. *)
 let rec addr_syms (i : Minstr.t) : string list =
@@ -495,8 +530,6 @@ let rec addr_syms (i : Minstr.t) : string list =
 let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   let stage_t0 = Vapor_obs.Stage.start () in
   let instrs = f.Mfun.instrs in
-  (* Symbol interning: bases are resolved once per run, lazily faulting
-     with Layout.base_of's own exception only where [run] would. *)
   let sym_tbl = Hashtbl.create 8 in
   let sym_rev = ref [] in
   let intern s =
@@ -511,7 +544,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   Array.iter (fun ins -> List.iter (fun s -> ignore (intern s)) (addr_syms ins))
     instrs;
   let p_syms = Array.of_list (List.rev !sym_rev) in
-  let p_bases = Array.make (max 1 (Array.length p_syms)) min_int in
+  let bases = Array.make (max 1 (Array.length p_syms)) min_int in
   (* Label resolution (once, not per run). *)
   let labels = Hashtbl.create 16 in
   Array.iteri
@@ -520,16 +553,8 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       | Minstr.Label l -> Hashtbl.replace labels l pc
       | _ -> ())
     instrs;
-  (* Per-pc cycle cost with the x87 blending [run] applies inline. *)
   let x87 = f.Mfun.fp_unit = Mfun.Fp_x87 in
-  let p_cost =
-    Array.map
-      (fun ins ->
-        if x87 && is_scalar_fp ins then target.Target.costs.Target.c_x87_fp_op
-        else Minstr.cost target ins)
-      instrs
-  in
-  (* Effective-address closures over the interned base table. *)
+  (* Effective-address closures with the symbol base folded in. *)
   let compile_addr (a : Minstr.addr) : state -> int =
     let disp = a.Minstr.disp in
     if a.Minstr.sym = "" then
@@ -546,24 +571,29 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         let ib = reg_index b and ii = reg_index i and sc = a.Minstr.scale in
         fun st -> st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
     else begin
-      let k = intern a.Minstr.sym in
       let sym = a.Minstr.sym in
-      let sym_fn st =
-        let b = p_bases.(k) in
-        if b = min_int then Layout.base_of st.layout sym else b
-      in
+      let k = intern sym in
       match a.Minstr.base, a.Minstr.index with
-      | None, None -> fun st -> sym_fn st + disp
+      | None, None -> fun st -> sym_base bases k sym st + disp
       | Some b, None ->
         let ib = reg_index b in
-        fun st -> sym_fn st + st.gpr.(ib) + disp
+        fun st -> sym_base bases k sym st + st.gpr.(ib) + disp
       | None, Some i ->
         let ii = reg_index i and sc = a.Minstr.scale in
-        fun st -> sym_fn st + (st.gpr.(ii) * sc) + disp
+        fun st -> sym_base bases k sym st + (st.gpr.(ii) * sc) + disp
       | Some b, Some i ->
         let ib = reg_index b and ii = reg_index i and sc = a.Minstr.scale in
-        fun st -> sym_fn st + st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
+        fun st ->
+          sym_base bases k sym st + st.gpr.(ib) + (st.gpr.(ii) * sc) + disp
     end
+  in
+  (* A constant [sym+disp] address, as in every stack spill slot: loads
+     and stores of the spill types (s64, f64) through one compute the
+     address inline, with no call. *)
+  let const_addr (a : Minstr.addr) =
+    match a.Minstr.sym, a.Minstr.base, a.Minstr.index with
+    | "", _, _ | _, Some _, _ | _, _, Some _ -> None
+    | sym, None, None -> Some (intern sym, sym, a.Minstr.disp)
   in
   let mem_len st = Bytes.length st.mem in
   let vs = target.Target.vs in
@@ -589,63 +619,36 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
   in
   (* Specialized actions for the scalar-dominant instruction set; every
      fast path reproduces exec's semantics (normalization, raw register
-     reads, fault messages) expression for expression.  [next] is pc+1.
-     Vector actions additionally dispatch on the runtime representation:
-     a register holding the expected kind runs an unboxed lane loop, any
-     other shape falls back to [exec] so mismatch faults stay identical. *)
-  let rec compile_action pc (ins : Minstr.t) : state -> int =
-    let next = pc + 1 in
-    let fallback ins = fun st -> exec st ins; next in
+     reads, fault messages) expression for expression.  Each action
+     finishes by tail-calling [k], the action of the next instruction in
+     its block, so every instruction kind dispatches from its own call
+     site.  Vector actions additionally dispatch on the runtime
+     representation: a register holding the expected kind runs an unboxed
+     lane loop, any other shape falls back to [exec] so mismatch faults
+     stay identical. *)
+  let rec compile_action (ins : Minstr.t) (k : state -> int) : state -> int =
+    let fallback ins = fun st -> exec st ins; k st in
     match ins with
-    | Minstr.Label _ -> fun _ -> next
-    | Minstr.Jmp l -> (
-      match Hashtbl.find_opt labels l with
-      | Some t -> fun _ -> t
-      | None -> fun _ -> faultf "undefined label %d" l)
-    | Minstr.Br (op, a, b, l) -> (
-      let ia = reg_index a and ib = reg_index b in
-      let target_pc = Hashtbl.find_opt labels l in
-      let goto st taken =
-        ignore st;
-        if taken then
-          match target_pc with
-          | Some t -> t
-          | None -> faultf "undefined label %d" l
-        else next
-      in
-      (* Br compares at I64, where normalization is the identity: the six
-         comparisons reduce to raw integer compares. *)
-      match op with
-      | Op.Eq -> fun st -> goto st (st.gpr.(ia) = st.gpr.(ib))
-      | Op.Ne -> fun st -> goto st (st.gpr.(ia) <> st.gpr.(ib))
-      | Op.Lt -> fun st -> goto st (st.gpr.(ia) < st.gpr.(ib))
-      | Op.Le -> fun st -> goto st (st.gpr.(ia) <= st.gpr.(ib))
-      | Op.Gt -> fun st -> goto st (st.gpr.(ia) > st.gpr.(ib))
-      | Op.Ge -> fun st -> goto st (st.gpr.(ia) >= st.gpr.(ib))
-      | _ ->
-        fun st ->
-          goto st
-            (Value.is_true
-               (Value.binop Src_type.I64 op
-                  (Value.Int st.gpr.(ia))
-                  (Value.Int st.gpr.(ib)))))
+    | Minstr.Label _ -> k
+    | Minstr.Jmp _ | Minstr.Br _ ->
+      invalid_arg "Simulator.prepare: control flow inside a block"
     | Minstr.Li (d, v) ->
       let id = reg_index d in
-      fun st -> st.gpr.(id) <- v; next
+      fun st -> st.gpr.(id) <- v; k st
     | Minstr.Lfi (d, v) ->
       let id = reg_index d in
-      fun st -> st.fpr.(id) <- v; next
+      fun st -> st.fpr.(id) <- v; k st
     | Minstr.Mov (d, s) -> (
       let id = reg_index d and is = reg_index s in
       match d.Minstr.cls with
-      | Minstr.GPR -> fun st -> st.gpr.(id) <- st.gpr.(is); next
-      | Minstr.FPR -> fun st -> st.fpr.(id) <- st.fpr.(is); next
+      | Minstr.GPR -> fun st -> st.gpr.(id) <- st.gpr.(is); k st
+      | Minstr.FPR -> fun st -> st.fpr.(id) <- st.fpr.(is); k st
       | Minstr.VR ->
         fun st ->
           (match st.vr.(is) with
           | VUndef -> faultf "use of undefined vector register v%d" is
           | v -> st.vr.(id) <- v);
-          next)
+          k st)
     | Minstr.Cmov (d, c, a, b) -> (
       let id = reg_index d and ic = reg_index c in
       let ia = reg_index a and ib = reg_index b in
@@ -653,57 +656,57 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       | Minstr.GPR ->
         fun st ->
           st.gpr.(id) <- st.gpr.(if st.gpr.(ic) <> 0 then ia else ib);
-          next
+          k st
       | Minstr.FPR ->
         fun st ->
           st.fpr.(id) <- st.fpr.(if st.gpr.(ic) <> 0 then ia else ib);
-          next
+          k st
       | Minstr.VR ->
         fun st ->
           let is = if st.gpr.(ic) <> 0 then ia else ib in
           (match st.vr.(is) with
           | VUndef -> faultf "use of undefined vector register v%d" is
           | v -> st.vr.(id) <- v);
-          next)
+          k st)
     | Minstr.Lea (d, a) ->
       let id = reg_index d in
       let ea = compile_addr a in
-      fun st -> st.gpr.(id) <- ea st; next
+      fun st -> st.gpr.(id) <- ea st; k st
     | Minstr.Sop (op, ty, d, a, b) when not (Src_type.is_float ty) -> (
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
-      let nz i = Src_type.normalize_int ty i in
+      let nm, ns = norm_consts ty in
       let mask = (Src_type.size_of ty * 8) - 1 in
       match op with
-      | Op.Add -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) + st.gpr.(ib)); next
-      | Op.Sub -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) - st.gpr.(ib)); next
-      | Op.Mul -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) * st.gpr.(ib)); next
+      | Op.Add -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) + st.gpr.(ib)); k st
+      | Op.Sub -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) - st.gpr.(ib)); k st
+      | Op.Mul -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) * st.gpr.(ib)); k st
       | Op.Div ->
         fun st ->
           let y = st.gpr.(ib) in
           if y = 0 then raise Division_by_zero
-          else st.gpr.(id) <- nz (st.gpr.(ia) / y);
-          next
-      | Op.Min -> fun st -> st.gpr.(id) <- nz (min st.gpr.(ia) st.gpr.(ib)); next
-      | Op.Max -> fun st -> st.gpr.(id) <- nz (max st.gpr.(ia) st.gpr.(ib)); next
-      | Op.And -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) land st.gpr.(ib)); next
-      | Op.Or -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) lor st.gpr.(ib)); next
-      | Op.Xor -> fun st -> st.gpr.(id) <- nz (st.gpr.(ia) lxor st.gpr.(ib)); next
+          else st.gpr.(id) <- norm nm ns (st.gpr.(ia) / y);
+          k st
+      | Op.Min -> fun st -> st.gpr.(id) <- norm nm ns (min st.gpr.(ia) st.gpr.(ib)); k st
+      | Op.Max -> fun st -> st.gpr.(id) <- norm nm ns (max st.gpr.(ia) st.gpr.(ib)); k st
+      | Op.And -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) land st.gpr.(ib)); k st
+      | Op.Or -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) lor st.gpr.(ib)); k st
+      | Op.Xor -> fun st -> st.gpr.(id) <- norm nm ns (st.gpr.(ia) lxor st.gpr.(ib)); k st
       | Op.Shl ->
         fun st ->
-          st.gpr.(id) <- nz (st.gpr.(ia) lsl (st.gpr.(ib) land mask));
-          next
+          st.gpr.(id) <- norm nm ns (st.gpr.(ia) lsl (st.gpr.(ib) land mask));
+          k st
       | Op.Shr ->
         fun st ->
-          st.gpr.(id) <- nz (st.gpr.(ia) asr (st.gpr.(ib) land mask));
-          next
+          st.gpr.(id) <- norm nm ns (st.gpr.(ia) asr (st.gpr.(ib) land mask));
+          k st
       (* Comparisons store the raw 0/1 (Value.binop does not normalize
          comparison results). *)
-      | Op.Eq -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) = st.gpr.(ib) then 1 else 0); next
-      | Op.Ne -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <> st.gpr.(ib) then 1 else 0); next
-      | Op.Lt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) < st.gpr.(ib) then 1 else 0); next
-      | Op.Le -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <= st.gpr.(ib) then 1 else 0); next
-      | Op.Gt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) > st.gpr.(ib) then 1 else 0); next
-      | Op.Ge -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) >= st.gpr.(ib) then 1 else 0); next)
+      | Op.Eq -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) = st.gpr.(ib) then 1 else 0); k st
+      | Op.Ne -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <> st.gpr.(ib) then 1 else 0); k st
+      | Op.Lt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) < st.gpr.(ib) then 1 else 0); k st
+      | Op.Le -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <= st.gpr.(ib) then 1 else 0); k st
+      | Op.Gt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) > st.gpr.(ib) then 1 else 0); k st
+      | Op.Ge -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) >= st.gpr.(ib) then 1 else 0); k st)
     | Minstr.Sop (op, ty, d, a, b) -> (
       (* float scalar ops; comparisons land 1.0/0.0 in the FPR via
          set_scalar's to_float on Value.Int. *)
@@ -715,43 +718,43 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
           let z = st.fpr.(ia) +. st.fpr.(ib) in
           st.fpr.(id) <-
             (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
+          k st
       | Op.Sub ->
         fun st ->
           let z = st.fpr.(ia) -. st.fpr.(ib) in
           st.fpr.(id) <-
             (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
+          k st
       | Op.Mul ->
         fun st ->
           let z = st.fpr.(ia) *. st.fpr.(ib) in
           st.fpr.(id) <-
             (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
+          k st
       | Op.Div ->
         fun st ->
           let z = st.fpr.(ia) /. st.fpr.(ib) in
           st.fpr.(id) <-
             (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
+          k st
       | Op.Min ->
         fun st ->
           let z = Float.min st.fpr.(ia) st.fpr.(ib) in
           st.fpr.(id) <-
             (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
+          k st
       | Op.Max ->
         fun st ->
           let z = Float.max st.fpr.(ia) st.fpr.(ib) in
           st.fpr.(id) <-
             (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-          next
-      | Op.Eq -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) = st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Ne -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) <> st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Lt -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) < st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Le -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) <= st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Gt -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) > st.fpr.(ib) then 1.0 else 0.0); next
-      | Op.Ge -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) >= st.fpr.(ib) then 1.0 else 0.0); next
+          k st
+      | Op.Eq -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) = st.fpr.(ib) then 1.0 else 0.0); k st
+      | Op.Ne -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) <> st.fpr.(ib) then 1.0 else 0.0); k st
+      | Op.Lt -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) < st.fpr.(ib) then 1.0 else 0.0); k st
+      | Op.Le -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) <= st.fpr.(ib) then 1.0 else 0.0); k st
+      | Op.Gt -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) > st.fpr.(ib) then 1.0 else 0.0); k st
+      | Op.Ge -> fun st -> st.fpr.(id) <- (if st.fpr.(ia) >= st.fpr.(ib) then 1.0 else 0.0); k st
       | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr -> fallback ins)
     | Minstr.Sunop (op, ty, d, s) -> (
       let id = reg_index d and is = reg_index s in
@@ -763,68 +766,84 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             let z = -.st.fpr.(is) in
             st.fpr.(id) <-
               (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-            next
+            k st
         | Op.Abs ->
           fun st ->
             let z = Float.abs st.fpr.(is) in
             st.fpr.(id) <-
               (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-            next
+            k st
         | Op.Sqrt ->
           fun st ->
             let z = Float.sqrt st.fpr.(is) in
             st.fpr.(id) <-
               (if n32 then Int32.float_of_bits (Int32.bits_of_float z) else z);
-            next
+            k st
         | Op.Not -> fallback ins
       else
-        let nz i = Src_type.normalize_int ty i in
+        let nm, ns = norm_consts ty in
         match op with
-        | Op.Neg -> fun st -> st.gpr.(id) <- nz (-st.gpr.(is)); next
-        | Op.Abs -> fun st -> st.gpr.(id) <- nz (abs st.gpr.(is)); next
-        | Op.Not -> fun st -> st.gpr.(id) <- nz (lnot st.gpr.(is)); next
+        | Op.Neg -> fun st -> st.gpr.(id) <- norm nm ns (-st.gpr.(is)); k st
+        | Op.Abs -> fun st -> st.gpr.(id) <- norm nm ns (abs st.gpr.(is)); k st
+        | Op.Not -> fun st -> st.gpr.(id) <- norm nm ns (lnot st.gpr.(is)); k st
         | Op.Sqrt -> fallback ins)
     | Minstr.Scmp (op, ty, d, a, b) when Op.is_comparison op -> (
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       if Src_type.is_float ty then
         match op with
-        | Op.Eq -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) = st.fpr.(ib) then 1 else 0); next
-        | Op.Ne -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) <> st.fpr.(ib) then 1 else 0); next
-        | Op.Lt -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) < st.fpr.(ib) then 1 else 0); next
-        | Op.Le -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) <= st.fpr.(ib) then 1 else 0); next
-        | Op.Gt -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) > st.fpr.(ib) then 1 else 0); next
-        | Op.Ge -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) >= st.fpr.(ib) then 1 else 0); next
+        | Op.Eq -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) = st.fpr.(ib) then 1 else 0); k st
+        | Op.Ne -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) <> st.fpr.(ib) then 1 else 0); k st
+        | Op.Lt -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) < st.fpr.(ib) then 1 else 0); k st
+        | Op.Le -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) <= st.fpr.(ib) then 1 else 0); k st
+        | Op.Gt -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) > st.fpr.(ib) then 1 else 0); k st
+        | Op.Ge -> fun st -> st.gpr.(id) <- (if st.fpr.(ia) >= st.fpr.(ib) then 1 else 0); k st
         | _ -> fallback ins
       else
         match op with
-        | Op.Eq -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) = st.gpr.(ib) then 1 else 0); next
-        | Op.Ne -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <> st.gpr.(ib) then 1 else 0); next
-        | Op.Lt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) < st.gpr.(ib) then 1 else 0); next
-        | Op.Le -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <= st.gpr.(ib) then 1 else 0); next
-        | Op.Gt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) > st.gpr.(ib) then 1 else 0); next
-        | Op.Ge -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) >= st.gpr.(ib) then 1 else 0); next
+        | Op.Eq -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) = st.gpr.(ib) then 1 else 0); k st
+        | Op.Ne -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <> st.gpr.(ib) then 1 else 0); k st
+        | Op.Lt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) < st.gpr.(ib) then 1 else 0); k st
+        | Op.Le -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) <= st.gpr.(ib) then 1 else 0); k st
+        | Op.Gt -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) > st.gpr.(ib) then 1 else 0); k st
+        | Op.Ge -> fun st -> st.gpr.(id) <- (if st.gpr.(ia) >= st.gpr.(ib) then 1 else 0); k st
         | _ -> fallback ins)
     | Minstr.Cvt (t1, t2, d, s) -> (
       let id = reg_index d and is = reg_index s in
       match Src_type.is_float t1, Src_type.is_float t2 with
       | true, true ->
-        fun st -> st.fpr.(id) <- Src_type.normalize_float t2 st.fpr.(is); next
+        fun st -> st.fpr.(id) <- Src_type.normalize_float t2 st.fpr.(is); k st
       | true, false ->
         fun st ->
           st.gpr.(id) <-
             Src_type.normalize_int t2
               (int_of_float (Float.of_int 0 +. Float.trunc st.fpr.(is)));
-          next
+          k st
       | false, true ->
         fun st ->
           st.fpr.(id) <- Src_type.normalize_float t2 (float_of_int st.gpr.(is));
-          next
+          k st
       | false, false ->
-        fun st -> st.gpr.(id) <- Src_type.normalize_int t2 st.gpr.(is); next)
+        fun st -> st.gpr.(id) <- Src_type.normalize_int t2 st.gpr.(is); k st)
     | Minstr.Load (ty, d, a) -> (
       let id = reg_index d in
-      let ea = compile_addr a in
       let sz = Src_type.size_of ty in
+      match const_addr a, ty with
+      | Some (kb, sym, disp), Src_type.I64 ->
+        fun st ->
+          let addr = sym_base bases kb sym st + disp in
+          if addr < 0 || addr + 8 > Bytes.length st.mem then
+            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
+          st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
+          k st
+      | Some (kb, sym, disp), Src_type.F64 ->
+        fun st ->
+          let addr = sym_base bases kb sym st + disp in
+          if addr < 0 || addr + 8 > Bytes.length st.mem then
+            faultf "%s at address %d (+%d) out of memory" "load" addr sz;
+          st.fpr.(id) <- Int64.float_of_bits (Bytes.get_int64_le st.mem addr);
+          k st
+      | _ ->
+      let ea = compile_addr a in
       (* Unboxed per-type reads, same byte formats as [Layout.read_value]. *)
       match ty with
       | Src_type.I8 ->
@@ -834,14 +853,14 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.gpr.(id) <-
             Src_type.normalize_int Src_type.I8 (Bytes.get_uint8 st.mem addr);
-          next
+          k st
       | Src_type.U8 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.gpr.(id) <- Bytes.get_uint8 st.mem addr;
-          next
+          k st
       | Src_type.I16 ->
         fun st ->
           let addr = ea st in
@@ -850,21 +869,21 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
           st.gpr.(id) <-
             Src_type.normalize_int Src_type.I16
               (Bytes.get_uint16_le st.mem addr);
-          next
+          k st
       | Src_type.U16 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.gpr.(id) <- Bytes.get_uint16_le st.mem addr;
-          next
+          k st
       | Src_type.I32 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.gpr.(id) <- Int32.to_int (Bytes.get_int32_le st.mem addr);
-          next
+          k st
       | Src_type.U32 ->
         fun st ->
           let addr = ea st in
@@ -872,32 +891,48 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.gpr.(id) <-
             Int32.to_int (Bytes.get_int32_le st.mem addr) land 0xffffffff;
-          next
+          k st
       | Src_type.I64 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.gpr.(id) <- Int64.to_int (Bytes.get_int64_le st.mem addr);
-          next
+          k st
       | Src_type.F32 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.fpr.(id) <- Int32.float_of_bits (Bytes.get_int32_le st.mem addr);
-          next
+          k st
       | Src_type.F64 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "load" addr sz;
           st.fpr.(id) <- Int64.float_of_bits (Bytes.get_int64_le st.mem addr);
-          next)
+          k st)
     | Minstr.Store (ty, a, s) -> (
       let is = reg_index s in
-      let ea = compile_addr a in
       let sz = Src_type.size_of ty in
+      match const_addr a, ty with
+      | Some (kb, sym, disp), Src_type.I64 ->
+        fun st ->
+          let addr = sym_base bases kb sym st + disp in
+          if addr < 0 || addr + 8 > Bytes.length st.mem then
+            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
+          Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
+          k st
+      | Some (kb, sym, disp), Src_type.F64 ->
+        fun st ->
+          let addr = sym_base bases kb sym st + disp in
+          if addr < 0 || addr + 8 > Bytes.length st.mem then
+            faultf "%s at address %d (+%d) out of memory" "store" addr sz;
+          Bytes.set_int64_le st.mem addr (Int64.bits_of_float st.fpr.(is));
+          k st
+      | _ ->
+      let ea = compile_addr a in
       (* Unboxed per-type writes, same byte formats as [Layout.write_value]. *)
       match ty with
       | Src_type.I8 | Src_type.U8 ->
@@ -906,66 +941,66 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "store" addr sz;
           Bytes.set_uint8 st.mem addr (st.gpr.(is) land 0xff);
-          next
+          k st
       | Src_type.I16 | Src_type.U16 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "store" addr sz;
           Bytes.set_uint16_le st.mem addr (st.gpr.(is) land 0xffff);
-          next
+          k st
       | Src_type.I32 | Src_type.U32 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "store" addr sz;
           Bytes.set_int32_le st.mem addr (Int32.of_int st.gpr.(is));
-          next
+          k st
       | Src_type.I64 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "store" addr sz;
           Bytes.set_int64_le st.mem addr (Int64.of_int st.gpr.(is));
-          next
+          k st
       | Src_type.F32 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "store" addr sz;
           Bytes.set_int32_le st.mem addr (Int32.bits_of_float st.fpr.(is));
-          next
+          k st
       | Src_type.F64 ->
         fun st ->
           let addr = ea st in
           if addr < 0 || addr + sz > mem_len st then
             faultf "%s at address %d (+%d) out of memory" "store" addr sz;
           Bytes.set_int64_le st.mem addr (Int64.bits_of_float st.fpr.(is));
-          next)
+          k st)
     | Minstr.VSpill (slot, s) ->
       let is = reg_index s in
       fun st ->
         (match st.vr.(is) with
         | VUndef -> faultf "use of undefined vector register v%d" is
         | v -> st.vspill.(slot) <- v);
-        next
+        k st
     | Minstr.VReload (d, slot) ->
       let id = reg_index d in
-      fun st -> st.vr.(id) <- st.vspill.(slot); next
+      fun st -> st.vr.(id) <- st.vspill.(slot); k st
     | Minstr.Lib inner -> (
       (* Lib executes its payload; control flow inside Lib is as illegal
          here as in exec (assert false), so route it through exec. *)
       match inner with
       | Minstr.Label _ | Minstr.Jmp _ | Minstr.Br _ -> fallback ins
-      | _ -> compile_action pc inner)
-    | Minstr.VLoad (k, ty, d, a) ->
+      | _ -> compile_action inner k)
+    | Minstr.VLoad (kind, ty, d, a) ->
       let id = reg_index d in
       let ea_of = compile_addr a in
       let m = lanes_of ty in
       let esize = Src_type.size_of ty in
       let bytes = m * esize in
       let align : int -> int =
-        match k with
+        match kind with
         | Minstr.VM_misaligned -> fun ea -> ea
         | Minstr.VM_aligned ->
           if explicit_realign then fun ea -> ea / vs * vs (* lvx floors *)
@@ -1052,8 +1087,8 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         if ea < 0 || ea + bytes > mem_len st then
           faultf "%s at address %d (+%d) out of memory" "vector load" ea bytes;
         st.vr.(id) <- read st.mem ea;
-        next
-    | Minstr.VStore (k, ty, a, s) ->
+        k st
+    | Minstr.VStore (kind, ty, a, s) ->
       let isrc = reg_index s in
       let ea_of = compile_addr a in
       let m = lanes_of ty in
@@ -1061,7 +1096,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       let bytes = m * esize in
       let is_f = Src_type.is_float ty in
       let align : int -> int =
-        match k with
+        match kind with
         | Minstr.VM_misaligned -> fun ea -> ea
         | Minstr.VM_aligned ->
           fun ea ->
@@ -1122,7 +1157,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         | VInt xa when not is_f ->
           write_i st.mem (check st (Array.length xa)) xa
         | _ -> exec st ins);
-        next
+        k st
     | Minstr.Vop (op, ty, d, a, b) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       let m = lanes_of ty in
@@ -1140,7 +1175,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               body xa xb r;
               st.vr.(id) <- VFloat r
             | _, _ -> exec st ins);
-            next
+            k st
         in
         let arith (body : float array -> float array -> float array -> unit) =
           mk body
@@ -1341,7 +1376,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               body xa xb r;
               st.vr.(id) <- VInt r
             | _, _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Add ->
@@ -1523,7 +1558,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               body xa r;
               st.vr.(id) <- VFloat r
             | _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Neg ->
@@ -1577,7 +1612,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               body xa r;
               st.vr.(id) <- VInt r
             | _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Neg ->
@@ -1623,7 +1658,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               body xa y r;
               st.vr.(id) <- VInt r
             | _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Shl ->
@@ -1651,12 +1686,12 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
         let nf v = Src_type.normalize_float ty v in
         fun st ->
           st.vr.(id) <- VFloat (Array.make m (nf st.fpr.(is_)));
-          next
+          k st
       else
         let nz i = Src_type.normalize_int ty i in
         fun st ->
           st.vr.(id) <- VInt (Array.make m (nz st.gpr.(is_)));
-          next
+          k st
     | Minstr.Viota (ty, d, s, inc) ->
       if Src_type.is_float ty then fallback ins
       else
@@ -1671,7 +1706,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             r.(l) <- (if z land ns <> 0 then z - nm - 1 else z)
           done;
           st.vr.(id) <- VInt r;
-          next
+          k st
     | Minstr.Vreduce (op, ty, d, s) ->
       let id = reg_index d and is_ = reg_index s in
       let m = lanes_of ty in
@@ -1682,7 +1717,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             (match st.vr.(is_) with
             | VFloat xa -> st.fpr.(id) <- body xa
             | _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Add ->
@@ -1823,7 +1858,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               done;
               st.gpr.(id) <- !acc
             | _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Add -> mk (fun x y -> x + y)
@@ -1859,7 +1894,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               done;
               st.vr.(id) <- VInt r
             | _, _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Eq -> mk (fun x y -> x = y)
@@ -1886,7 +1921,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
               done;
               st.vr.(id) <- VInt r
             | _, _ -> exec st ins);
-            next
+            k st
         in
         match op with
         | Op.Eq -> mk (fun x y -> x = y)
@@ -1915,7 +1950,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VFloat r
           | _ -> exec st ins);
-          next
+          k st
       else
         let nm, ns = norm_consts ty in
         fun st ->
@@ -1928,7 +1963,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _ -> exec st ins);
-          next
+          k st
     | Minstr.Vperm (ty, d, a, b, t) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
       let it = reg_index t in
@@ -1948,7 +1983,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VFloat r
           | _ -> exec st ins);
-          next
+          k st
       else
         let nm, ns = norm_consts ty in
         fun st ->
@@ -1962,14 +1997,14 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _ -> exec st ins);
-          next
+          k st
     | Minstr.Lvsr (ty, d, a) ->
       let id = reg_index d in
       let ea_of = compile_addr a in
       let esize = Src_type.size_of ty in
       fun st ->
         st.vr.(id) <- VInt [| ea_of st mod vs / esize |];
-        next
+        k st
     | Minstr.Vwidenmul (h, ty, d, a, b) -> (
       match Src_type.widen ty with
       | None -> fallback ins (* widen_exn faults at execution *)
@@ -1998,7 +2033,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _, _ -> exec st ins);
-          next)
+          k st)
     | Minstr.Vdot (ty, d, a, b, acc) -> (
       match Src_type.widen ty with
       | None -> fallback ins
@@ -2043,7 +2078,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _ -> exec st ins);
-          next)
+          k st)
     | Minstr.Vunpack (h, ty, d, s) -> (
       match Src_type.widen ty with
       | None -> fallback ins
@@ -2066,7 +2101,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _ -> exec st ins);
-          next)
+          k st)
     | Minstr.Vpack (ty, d, a, b) -> (
       match Src_type.narrow ty with
       | None -> fallback ins (* narrow_exn faults at execution *)
@@ -2089,7 +2124,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _, _ -> exec st ins);
-          next)
+          k st)
     | Minstr.Vcvt (t1, t2, d, s) -> (
       let id = reg_index d and is_ = reg_index s in
       let m = lanes_of t1 in
@@ -2109,7 +2144,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _ -> exec st ins);
-          next
+          k st
       | true, true ->
         let n32a = t1 = Src_type.F32 and n32b = t2 = Src_type.F32 in
         fun st ->
@@ -2128,7 +2163,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VFloat r
           | _ -> exec st ins);
-          next
+          k st
       | _ -> fallback ins)
     | Minstr.Vinterleave (h, ty, d, a, b) ->
       let id = reg_index d and ia = reg_index a and ib = reg_index b in
@@ -2150,7 +2185,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VFloat r
           | _, _ -> exec st ins);
-          next
+          k st
       else
         let nm, ns = norm_consts ty in
         fun st ->
@@ -2167,18 +2202,18 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _, _ -> exec st ins);
-          next
+          k st
     | Minstr.Vextract (ty, stride, offset, d, parts) ->
       let id = reg_index d in
       let ids = Array.of_list (List.map reg_index parts) in
-      let k = Array.length ids in
+      let nparts = Array.length ids in
       let m = lanes_of ty in
       if Src_type.is_float ty then
         let n32 = ty = Src_type.F32 in
         fun st ->
           let ok = ref true in
-          let ps = Array.make (max 1 k) [||] in
-          for j = 0 to k - 1 do
+          let ps = Array.make (max 1 nparts) [||] in
+          for j = 0 to nparts - 1 do
             match st.vr.(ids.(j)) with
             | VFloat a -> ps.(j) <- a
             | _ -> ok := false
@@ -2195,13 +2230,13 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VFloat r
           end;
-          next
+          k st
       else
         let nm, ns = norm_consts ty in
         fun st ->
           let ok = ref true in
-          let ps = Array.make (max 1 k) [||] in
-          for j = 0 to k - 1 do
+          let ps = Array.make (max 1 nparts) [||] in
+          for j = 0 to nparts - 1 do
             match st.vr.(ids.(j)) with
             | VInt a -> ps.(j) <- a
             | _ -> ok := false
@@ -2216,7 +2251,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           end;
-          next
+          k st
     | Minstr.Vinsert (ty, d, v, n, s) ->
       let id = reg_index d and iv = reg_index v and is_ = reg_index s in
       let m = lanes_of ty in
@@ -2235,7 +2270,7 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VFloat r
           | _ -> exec st ins);
-          next
+          k st
       else
         let nz i = Src_type.normalize_int ty i in
         fun st ->
@@ -2248,12 +2283,83 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
             done;
             st.vr.(id) <- VInt r
           | _ -> exec st ins);
-          next
+          k st
     | Minstr.Scmp _ | Minstr.Vcmp _
     | Minstr.VMaskedLoad _ | Minstr.VMaskedStore _ ->
       fallback ins
   in
-  let p_code = Array.mapi compile_action instrs in
+  (* Cut the code into blocks; [block_of] maps each leader pc (and pc n,
+     the halt) to its block index. *)
+  let n = Array.length instrs in
+  let block_of = Array.make (n + 1) (-1) in
+  let nb = ref 0 in
+  let lead pc =
+    if pc < n && block_of.(pc) < 0 then begin
+      block_of.(pc) <- !nb;
+      incr nb
+    end
+  in
+  lead 0;
+  Array.iteri
+    (fun pc ins ->
+      match ins with
+      | Minstr.Label _ -> lead pc
+      | Minstr.Jmp _ | Minstr.Br _ -> lead (pc + 1)
+      | _ -> ())
+    instrs;
+  let nb = !nb in
+  block_of.(n) <- nb;
+  let label_block l =
+    Option.map (fun pc -> block_of.(pc)) (Hashtbl.find_opt labels l)
+  in
+  (* A block's exit: the action of its terminator, or the fall-through
+     into the next leader. *)
+  let compile_exit pc : state -> int =
+    let next = block_of.(pc + 1) in
+    match instrs.(pc) with
+    | Minstr.Jmp l -> (
+      match label_block l with
+      | Some t -> fun _ -> t
+      | None -> fun _ -> faultf "undefined label %d" l)
+    | Minstr.Br (op, a, b, l) -> (
+      let ia = reg_index a and ib = reg_index b in
+      (* Br compares at I64, where normalization is the identity: the six
+         comparisons reduce to raw integer compares. *)
+      match label_block l, op with
+      | Some t, Op.Eq -> fun st -> if st.gpr.(ia) = st.gpr.(ib) then t else next
+      | Some t, Op.Ne -> fun st -> if st.gpr.(ia) <> st.gpr.(ib) then t else next
+      | Some t, Op.Lt -> fun st -> if st.gpr.(ia) < st.gpr.(ib) then t else next
+      | Some t, Op.Le -> fun st -> if st.gpr.(ia) <= st.gpr.(ib) then t else next
+      | Some t, Op.Gt -> fun st -> if st.gpr.(ia) > st.gpr.(ib) then t else next
+      | Some t, Op.Ge -> fun st -> if st.gpr.(ia) >= st.gpr.(ib) then t else next
+      | t, _ ->
+        fun st ->
+          if branch_taken op st.gpr.(ia) st.gpr.(ib) then
+            match t with
+            | Some t -> t
+            | None -> faultf "undefined label %d" l
+          else next)
+    | ins -> compile_action ins (fun _ -> next)
+  in
+  let p_blocks =
+    Array.make nb { b_start = 0; b_count = 0; b_cost = 0; b_run = (fun _ -> 0) }
+  in
+  let start = ref 0 in
+  for pc = 0 to n - 1 do
+    if block_of.(pc + 1) >= 0 then begin
+      (* [pc] ends the block that began at [!start]: thread it backwards. *)
+      let run = ref (compile_exit pc) in
+      let cost = ref (instr_cost target ~x87 instrs.(pc)) in
+      for q = pc - 1 downto !start do
+        run := compile_action instrs.(q) !run;
+        cost := !cost + instr_cost target ~x87 instrs.(q)
+      done;
+      p_blocks.(block_of.(!start)) <-
+        { b_start = !start; b_count = pc - !start + 1; b_cost = !cost;
+          b_run = !run };
+      start := pc + 1
+    end
+  done;
   (* Parameter binders: per-name closures that keep List.assoc_opt (the
      argument list varies per run) but pre-resolve type, class and
      location.  Same faults, same normalization as [run]. *)
@@ -2297,16 +2403,34 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
     {
       p_target = target;
       p_mfun = f;
-      p_cost;
-      p_code;
+      p_blocks;
       p_syms;
-      p_bases;
+      p_bases = bases;
       p_binders;
       p_state = None;
     }
   in
   Vapor_obs.Stage.record "prepare" stage_t0;
   plan
+
+(* [blk] crosses the fuel limit: its last instruction would fail [run]'s
+   per-pc fuel test, so it never reaches its terminator.  Step it with
+   [run]'s accounting up to the faulting test; an instruction fault on
+   the way surfaces in the same order as in [run]. *)
+let step_to_fuel p st blk fuel =
+  let f = p.p_mfun in
+  let x87 = f.Mfun.fp_unit = Mfun.Fp_x87 in
+  let pc = ref blk.b_start in
+  while st.executed <= fuel do
+    let ins = f.Mfun.instrs.(!pc) in
+    st.executed <- st.executed + 1;
+    st.cycles <- st.cycles + instr_cost p.p_target ~x87 ins;
+    (match ins with
+    | Minstr.Label _ -> ()
+    | ins -> exec st ins);
+    incr pc
+  done;
+  faultf "fuel exhausted (infinite loop?)"
 
 let run_plan ?(fuel = 200_000_000) (p : plan) (layout : Layout.t)
     (mem : Bytes.t) ~(scalar_args : (string * Value.t) list) : result =
@@ -2353,13 +2477,14 @@ let run_plan ?(fuel = 200_000_000) (p : plan) (layout : Layout.t)
   for k = 0 to Array.length binders - 1 do
     binders.(k) st scalar_args
   done;
-  let code = p.p_code and cost = p.p_cost in
-  let n = Array.length code in
-  let pc = ref 0 in
-  while !pc < n do
-    if st.executed > fuel then faultf "fuel exhausted (infinite loop?)";
-    st.executed <- st.executed + 1;
-    st.cycles <- st.cycles + cost.(!pc);
-    pc := code.(!pc) st
+  let blocks = p.p_blocks in
+  let nb = Array.length blocks in
+  let b = ref 0 in
+  while !b < nb do
+    let blk = Array.unsafe_get blocks !b in
+    if st.executed + blk.b_count - 1 > fuel then step_to_fuel p st blk fuel;
+    st.executed <- st.executed + blk.b_count;
+    st.cycles <- st.cycles + blk.b_cost;
+    b := blk.b_run st
   done;
   { r_cycles = st.cycles; r_instructions = st.executed }

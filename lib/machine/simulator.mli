@@ -24,12 +24,15 @@ val run :
   scalar_args:(string * Value.t) list ->
   result
 
-(** A pre-resolved execution plan for one compiled function on one target:
-    labels resolved to pcs, per-pc costs (x87-blended) precomputed,
-    parameter binding compiled to closures, common scalar instructions
-    specialized.  Bit-, cycle-, instruction- and fault-exact against
-    [run]; built once at JIT-compile time and reused for every
-    invocation with zero per-run setup allocation. *)
+(** A block-threaded execution plan for one compiled function on one
+    target: the code is cut into straight-line blocks (leaders: pc 0,
+    every label, every pc after a jump or branch), each compiled to a
+    chain of specialized closures that tail-call one another; a block's
+    cycle sum (x87-blended) and instruction count are charged, and fuel
+    tested, once per block.  Parameter binding is compiled to closures.
+    Bit-, cycle-, instruction- and fault-exact against [run]; built once
+    at JIT-compile time and reused for every invocation with zero per-run
+    setup allocation. *)
 type plan
 
 val prepare : target:Target.t -> Mfun.t -> plan

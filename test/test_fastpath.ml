@@ -20,6 +20,10 @@ module Trace = Vapor_runtime.Trace
 module Faults = Vapor_runtime.Faults
 module Stats = Vapor_runtime.Stats
 module Code_cache = Vapor_runtime.Code_cache
+module M = Vapor_machine.Minstr
+module Mfun = Vapor_machine.Mfun
+module Layout = Vapor_machine.Layout
+module Simulator = Vapor_machine.Simulator
 
 let fail = Alcotest.fail
 let check_int = Alcotest.(check int)
@@ -202,9 +206,10 @@ let vfast_corrupt_case () =
 (* --- pre-resolved plans == reference simulator ------------------------- *)
 
 let plan_sweep_case () =
-  (* Every kernel x target x profile: the plan-driven [Exec.run] must
-     report the same cycles and instructions as the pre-plan
-     [Exec.run_reference], and leave bit-identical buffers. *)
+  (* Every kernel x target x profile x scale: the plan-driven [Exec.run]
+     must report the same cycles and instructions as the pre-plan
+     [Exec.run_reference], and leave bit-identical buffers.  Scale 2 runs
+     epilogues and masked tails at a second trip count. *)
   List.iter
     (fun (entry : Suite.entry) ->
       let vk = bytecode entry in
@@ -212,22 +217,251 @@ let plan_sweep_case () =
         (fun (target : Target.t) ->
           List.iter
             (fun (profile : Profile.t) ->
-              let ctx =
-                Printf.sprintf "%s/%s/%s" entry.Suite.name
-                  target.Target.name profile.Profile.name
-              in
               let compiled = Compile.compile ~target ~profile vk in
-              let fast_args = entry.Suite.args ~scale:1 in
-              let ref_args = copy_args fast_args in
-              let rr = Exec.run_reference target compiled ~args:ref_args in
-              let rf = Exec.run target compiled ~args:fast_args in
-              check_int (ctx ^ ": cycles") rr.Exec.cycles rf.Exec.cycles;
-              check_int (ctx ^ ": instructions") rr.Exec.instructions
-                rf.Exec.instructions;
-              check_args_bit_equal ctx ref_args fast_args)
-            [ Profile.mono; Profile.gcc4cli ])
+              List.iter
+                (fun scale ->
+                  let ctx =
+                    Printf.sprintf "%s/%s/%s/x%d" entry.Suite.name
+                      target.Target.name profile.Profile.name scale
+                  in
+                  let fast_args = entry.Suite.args ~scale in
+                  let ref_args = copy_args fast_args in
+                  let rr = Exec.run_reference target compiled ~args:ref_args in
+                  let rf = Exec.run target compiled ~args:fast_args in
+                  check_int (ctx ^ ": cycles") rr.Exec.cycles rf.Exec.cycles;
+                  check_int (ctx ^ ": instructions") rr.Exec.instructions
+                    rf.Exec.instructions;
+                  check_args_bit_equal ctx ref_args fast_args)
+                [ 1; 2 ])
+            [ Profile.mono; Profile.gcc4cli; Profile.native; Profile.avx_split ])
         Vapor_targets.Scalar_target.all)
     Suite.all
+
+(* --- plans are exact at the fuel boundary and on faults ----------------- *)
+
+(* A fresh layout and memory image over [arrays], sized as [Exec] sizes
+   them for a function with [stack_bytes] of spill area. *)
+let image ?(stack_bytes = 0) arrays =
+  let stack_bytes = max Layout.default_stack_bytes (stack_bytes + 256) in
+  let layout = Layout.plan ~stack_bytes ~policy:Layout.aligned_policy arrays in
+  layout, Layout.materialize layout arrays
+
+(* One run of an engine on a fresh image, summed up as cycles,
+   instructions and a digest of the final memory, or as the exception it
+   raised, message included.  [simulate] is [Simulator.run] or
+   [Simulator.run_plan] applied to everything but the image. *)
+let outcome ?stack_bytes ~arrays simulate =
+  let layout, mem = image ?stack_bytes arrays in
+  match simulate layout mem with
+  | (r : Simulator.result) ->
+    Printf.sprintf "ok cycles=%d instructions=%d mem=%s" r.Simulator.r_cycles
+      r.Simulator.r_instructions (Digest.to_hex (Digest.bytes mem))
+  | exception Simulator.Fault m -> "fault: " ^ m
+  | exception e -> "exception: " ^ Printexc.to_string e
+
+let reference_outcome ?stack_bytes ?fuel ~target ~arrays ~scalars f =
+  outcome ?stack_bytes ~arrays (fun layout mem ->
+      Simulator.run ?fuel target layout mem f ~scalar_args:scalars)
+
+let plan_outcome ?stack_bytes ?fuel ~arrays ~scalars plan =
+  outcome ?stack_bytes ~arrays (fun layout mem ->
+      Simulator.run_plan ?fuel plan layout mem ~scalar_args:scalars)
+
+(* Run [f] under both engines at each fuel and require the same outcome.
+   [None] is the default fuel. *)
+let check_engines_agree ctx ?stack_bytes ~target ~arrays ~scalars f fuels =
+  let plan = Simulator.prepare ~target f in
+  List.iter
+    (fun fuel ->
+      let fuel_s =
+        match fuel with Some n -> string_of_int n | None -> "default"
+      in
+      check_string
+        (Printf.sprintf "%s fuel=%s" ctx fuel_s)
+        (reference_outcome ?stack_bytes ?fuel ~target ~arrays ~scalars f)
+        (plan_outcome ?stack_bytes ?fuel ~arrays ~scalars plan))
+    fuels
+
+let check_prefix ctx prefix s =
+  if not (String.starts_with ~prefix s) then
+    fail (Printf.sprintf "%s: got %S, expected %S..." ctx s prefix)
+
+let plan_fuel_edges_case () =
+  (* A sample of suite kernels on all seven targets, with fuel N-2, N-1, N
+     and N+1 around the reference instruction count N: N-2 is the largest
+     fuel that faults, and the plan must fault with the same message. *)
+  let sample =
+    [ "saxpy_fp"; "interp_s16"; "sad_s8"; "dissolve_s8"; "jacobi_fp";
+      "mix_streams_s16"; "stereo_gain" ]
+  in
+  List.iter
+    (fun name ->
+      let entry = Suite.find name in
+      let vk = bytecode entry in
+      let arrays, scalars = Exec.split_args (entry.Suite.args ~scale:1) in
+      List.iter
+        (fun (target : Target.t) ->
+          let compiled = Compile.compile ~target ~profile:Profile.mono vk in
+          let f = compiled.Compile.mfun in
+          let stack_bytes = f.Mfun.stack_bytes in
+          let n =
+            let layout, mem = image ~stack_bytes arrays in
+            (Simulator.run target layout mem f ~scalar_args:scalars)
+              .Simulator.r_instructions
+          in
+          let ctx = Printf.sprintf "%s/%s" name target.Target.name in
+          check_engines_agree ctx ~stack_bytes ~target ~arrays ~scalars f
+            [ Some (n - 2); Some (n - 1); Some n; Some (n + 1) ];
+          check_prefix (ctx ^ " fuel N-2") "fault: fuel exhausted"
+            (plan_outcome ~stack_bytes ~fuel:(n - 2) ~arrays ~scalars
+               compiled.Compile.plan);
+          check_prefix (ctx ^ " fuel N-1") "ok"
+            (plan_outcome ~stack_bytes ~fuel:(n - 1) ~arrays ~scalars
+               compiled.Compile.plan))
+        Vapor_targets.Scalar_target.all)
+    sample
+
+let mfun instrs =
+  {
+    Mfun.name = "edge";
+    instrs = Array.of_list instrs;
+    n_gpr = 8;
+    n_fpr = 4;
+    n_vr = 4;
+    param_regs = [];
+    fp_unit = Mfun.Fp_scalar_simd;
+    stack_bytes = 64;
+    n_vspill = 2;
+  }
+
+let sse = Vapor_targets.Sse.target
+let every_fuel = None :: List.init 16 (fun i -> Some (i - 1))
+
+let plan_oob_at_fuel_case () =
+  (* An out-of-bounds load in the middle of a straight-line block, inside
+     a loop: at each fuel the fault is either the load's or the fuel's,
+     whichever the reference reaches first. *)
+  let out = Buffer_.create Src_type.I32 4 in
+  let g = M.gpr in
+  (* The second trip's indexed load lands past the end of memory, as the
+     13th instruction executed. *)
+  let f =
+    mfun
+      [
+        M.Li (g 0, 0);
+        M.Li (g 1, 1 lsl 20);
+        M.Label 1;
+        M.Li (g 2, 1 lsl 16);
+        M.Load (Src_type.I32, g 3, { (M.plain_addr "out") with M.disp = 4 });
+        M.Load
+          (Src_type.I32, g 4, { (M.plain_addr "out") with M.base = Some (g 0) });
+        M.Li (g 5, 1);
+        M.Sop (Op.Add, Src_type.I64, g 0, g 0, g 2);
+        M.Br (Op.Lt, g 0, g 1, 1);
+      ]
+  in
+  let arrays = [ "out", out ] in
+  check_engines_agree "oob load" ~target:sse ~arrays ~scalars:[] f every_fuel;
+  let plan = Simulator.prepare ~target:sse f in
+  check_prefix "fuel 11 stops before the load" "fault: fuel exhausted"
+    (plan_outcome ~fuel:11 ~arrays ~scalars:[] plan);
+  check_prefix "fuel 12 reaches the load" "fault: load at address"
+    (plan_outcome ~fuel:12 ~arrays ~scalars:[] plan)
+
+let plan_branch_ops_case () =
+  (* Each comparison a [Br] can make, at a loop's back edge: the trip
+     count lands in memory, and a loop that never exits runs out of fuel
+     at the same instruction in both engines. *)
+  let out = Buffer_.create Src_type.I64 1 in
+  let g = M.gpr in
+  List.iter
+    (fun op ->
+      let f =
+        mfun
+          [
+            M.Li (g 0, 0);
+            M.Li (g 1, 3);
+            M.Li (g 2, 1);
+            M.Label 1;
+            M.Sop (Op.Add, Src_type.I64, g 0, g 0, g 2);
+            M.Store (Src_type.I64, M.plain_addr "out", g 0);
+            M.Br (op, g 0, g 1, 1);
+          ]
+      in
+      check_engines_agree
+        ("br " ^ Op.binop_to_string op)
+        ~target:sse ~arrays:[ "out", out ] ~scalars:[] f
+        [ Some 7; Some 60 ])
+    [ Op.Eq; Op.Ne; Op.Lt; Op.Le; Op.Gt; Op.Ge; Op.Add ]
+
+let plan_lazy_symbol_case () =
+  (* A symbol the layout does not know faults only where an address uses
+     it: behind an untaken branch the run succeeds, on the taken path it
+     raises Layout.base_of's own exception, for the constant [sym+disp]
+     and the register-based address shapes alike. *)
+  let out = Buffer_.create Src_type.I64 2 in
+  let g = M.gpr in
+  let body taken ghost_addr =
+    mfun
+      [
+        M.Li (g 0, 0);
+        M.Li (g 1, (if taken then 0 else 1));
+        M.Br (Op.Eq, g 0, g 1, 1);
+        M.Jmp 2;
+        M.Label 1;
+        M.Li (g 2, 5);
+        M.Load (Src_type.I64, g 3, ghost_addr);
+        M.Label 2;
+        M.Store (Src_type.I64, M.plain_addr "out", g 1);
+      ]
+  in
+  List.iter
+    (fun (label, addr) ->
+      List.iter
+        (fun taken ->
+          check_engines_agree
+            (Printf.sprintf "ghost %s taken=%b" label taken)
+            ~target:sse ~arrays:[ "out", out ] ~scalars:[] (body taken addr)
+            every_fuel)
+        [ false; true ])
+    [
+      "const", { (M.plain_addr "ghost") with M.disp = 8 };
+      "based", { (M.plain_addr "ghost") with M.base = Some (g 2) };
+    ];
+  check_prefix "ghost symbol raises on the taken path"
+    "exception: Invalid_argument"
+    (plan_outcome ~arrays:[ "out", out ] ~scalars:[]
+       (Simulator.prepare ~target:sse (body true (M.plain_addr "ghost"))))
+
+let plan_undefined_vector_case () =
+  (* Reading a never-written vector register inside a threaded block
+     faults with the reference message, whichever kind of action reads
+     it. *)
+  let out = Buffer_.create Src_type.F32 8 in
+  let g = M.gpr and v = M.vr in
+  let prefix =
+    [
+      M.Li (g 0, 3);
+      M.VLoad (M.VM_aligned, Src_type.F32, v 0, M.plain_addr "out");
+    ]
+  in
+  List.iter
+    (fun (label, ins) ->
+      check_engines_agree ("undefined vr: " ^ label) ~target:sse
+        ~arrays:[ "out", out ] ~scalars:[]
+        (mfun (prefix @ [ ins; M.Li (g 1, 4) ]))
+        every_fuel)
+    [
+      "vop", M.Vop (Op.Add, Src_type.F32, v 2, v 0, v 1);
+      "vmov", M.Mov (v 2, v 3);
+      "vspill", M.VSpill (0, v 1);
+      "vstore", M.VStore (M.VM_aligned, Src_type.F32, M.plain_addr "out", v 3);
+      "vreduce", M.Vreduce (Op.Add, Src_type.F32, M.fpr 0, v 1);
+    ];
+  check_string "vop message" "fault: use of undefined vector register v1"
+    (plan_outcome ~arrays:[ "out", out ] ~scalars:[]
+       (Simulator.prepare ~target:sse
+          (mfun (prefix @ [ M.Vop (Op.Add, Src_type.F32, v 2, v 0, v 1) ]))))
 
 (* --- replay: fast engine and shards are report-identical ---------------- *)
 
@@ -340,6 +574,16 @@ let () =
         [
           Alcotest.test_case "plans match reference simulator" `Quick
             plan_sweep_case;
+          Alcotest.test_case "plans exact at fuel N-2..N+1" `Quick
+            plan_fuel_edges_case;
+          Alcotest.test_case "oob load at the fuel boundary" `Quick
+            plan_oob_at_fuel_case;
+          Alcotest.test_case "branch comparisons" `Quick
+            plan_branch_ops_case;
+          Alcotest.test_case "unresolved symbol faults lazily" `Quick
+            plan_lazy_symbol_case;
+          Alcotest.test_case "undefined vector register in a block" `Quick
+            plan_undefined_vector_case;
           Alcotest.test_case "fast replay report-identical" `Quick
             replay_engine_equiv_case;
           Alcotest.test_case "domains 1/2/4 reports identical" `Quick
