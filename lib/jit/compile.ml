@@ -72,7 +72,7 @@ let compile ?(force_scalar = fun _ -> false) ?(known_aligned = fun _ -> true)
     }
   in
   let t0 = Stage.start () in
-  let mfun = Regalloc.run target budget mfun in
+  let mfun = Regalloc.run budget mfun in
   Stage.record "regalloc" t0;
   let n_regions = List.length an.Lower.regions in
   let forced =
