@@ -31,10 +31,19 @@ let split_args (args : (string * Eval.arg) list) =
   arrays, scalars
 
 (* Run a compiled kernel over the given arguments; array buffers are
-   updated in place from the final memory image.  [simulate] picks the
-   engine: the prepared plan (fast, default) or the reference
-   instruction-by-instruction [Simulator.run]. *)
-let run_with ~simulate ?(policy = Layout.aligned_policy) (target : Target.t)
+   updated in place from the final memory image.  [fast] picks the
+   engine: the prepared plan (default) or the reference
+   instruction-by-instruction [Simulator.run].  The plan is only valid
+   for the target it was prepared for; a caller simulating on a different
+   target (cross-target what-ifs) falls back to the reference engine.
+
+   A plan run under the default aligned policy lays memory out in the
+   plan's own reusable image ({!Layout.image_fill}: the layout is
+   replanned only when the operand shape changes, the image re-zeroed
+   and refilled every run).  Other policies and the reference engine
+   plan and materialize afresh, the baseline the reuse is measured
+   against. *)
+let run_with ~fast ?(policy = Layout.aligned_policy) (target : Target.t)
     (compiled : Compile.t) ~(args : (string * Eval.arg) list) : run_result =
   let module Stage = Vapor_obs.Stage in
   let arrays, scalars = split_args args in
@@ -42,12 +51,28 @@ let run_with ~simulate ?(policy = Layout.aligned_policy) (target : Target.t)
     max Layout.default_stack_bytes
       (compiled.Compile.mfun.Vapor_machine.Mfun.stack_bytes + 256)
   in
+  let plan = compiled.Compile.plan in
+  let use_plan =
+    fast
+    && String.equal (Simulator.plan_target plan).Target.name
+         target.Target.name
+  in
   let t0 = Stage.start () in
-  let layout = Layout.plan ~stack_bytes ~policy arrays in
-  let mem = Layout.materialize layout arrays in
+  let layout, mem =
+    if use_plan && policy == Layout.aligned_policy then
+      Layout.image_fill (Simulator.plan_image plan) ~stack_bytes arrays
+    else
+      let layout = Layout.plan ~stack_bytes ~policy arrays in
+      layout, Layout.materialize layout arrays
+  in
   Stage.record "layout" t0;
   let t0 = Stage.start () in
-  let r : Simulator.result = simulate target compiled layout mem scalars in
+  let r : Simulator.result =
+    if use_plan then Simulator.run_plan plan layout mem ~scalar_args:scalars
+    else
+      Simulator.run target layout mem compiled.Compile.mfun
+        ~scalar_args:scalars
+  in
   Stage.record "simulate" t0;
   Layout.read_back layout mem arrays;
   {
@@ -56,26 +81,13 @@ let run_with ~simulate ?(policy = Layout.aligned_policy) (target : Target.t)
     compile_time_us = compiled.Compile.compile_time_us;
   }
 
-let simulate_reference target (compiled : Compile.t) layout mem scalars =
-  Simulator.run target layout mem compiled.Compile.mfun ~scalar_args:scalars
-
-(* The plan is only valid for the target it was prepared for; a caller
-   simulating on a different target (cross-target what-ifs) falls back to
-   the reference engine. *)
-let simulate_fast (target : Target.t) (compiled : Compile.t) layout mem scalars
-    =
-  let plan = compiled.Compile.plan in
-  if (Simulator.plan_target plan).Target.name = target.Target.name then
-    Simulator.run_plan plan layout mem ~scalar_args:scalars
-  else simulate_reference target compiled layout mem scalars
-
 let run ?policy target compiled ~args =
-  run_with ~simulate:simulate_fast ?policy target compiled ~args
+  run_with ~fast:true ?policy target compiled ~args
 
 (* The pre-plan execution path, kept as the baseline the fast engine is
    measured against and as the engine for [--engine reference]. *)
 let run_reference ?policy target compiled ~args =
-  run_with ~simulate:simulate_reference ?policy target compiled ~args
+  run_with ~fast:false ?policy target compiled ~args
 
 type exec_error = {
   ee_stage : [ `Plan | `Simulate ];

@@ -10,6 +10,14 @@ type arg =
 
 exception Runtime_error of string
 
+let copy_args args =
+  List.map
+    (fun (n, a) ->
+      match a with
+      | Scalar v -> n, Scalar v
+      | Array b -> n, Array (Buffer_.copy b))
+    args
+
 let runtime_errorf fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 type state = {

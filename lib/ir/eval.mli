@@ -7,6 +7,10 @@ type arg =
 
 exception Runtime_error of string
 
+(** Fresh argument list: every array buffer copied ({!Buffer_.copy}),
+    scalars shared (values are immutable). *)
+val copy_args : (string * arg) list -> (string * arg) list
+
 (** Run a kernel with named arguments; array buffers are mutated in place.
     Returns the final scalar variable environment.
     @raise Runtime_error on missing/ill-kinded arguments or out-of-bounds

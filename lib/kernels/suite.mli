@@ -10,7 +10,13 @@ type entry = {
   polybench : bool;
   in_table3 : bool;  (** part of the AVX/IACA experiment *)
   args : scale:int -> (string * Eval.arg) list;
-      (** builds fresh argument buffers each call *)
+      (** Builds the workload's arguments.  Contract: a pure function of
+          [scale] — every call returns bit-identical contents (seeded
+          generators, no global state) in freshly allocated buffers.
+          The runtime relies on it twice: the batch dispatcher elides
+          co-batched events of one (kernel, scale) signature, and each
+          replay shard builds a signature's operands once and hands every
+          event copies of them. *)
 }
 
 (** Parse and type-check an entry's kernel (cached). *)

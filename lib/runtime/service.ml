@@ -160,6 +160,9 @@ type shard = {
   sh_table :
     (string, Suite.entry * Vapor_vecir.Bytecode.vkernel * Digest.t) Hashtbl.t;
   sh_targets : Target.t array;
+  (* Pristine operands per (kernel, scale), built once by the suite's
+     builder and only ever copied out (see [event_args]). *)
+  sh_operands : (string * int, (string * Vapor_ir.Eval.arg) list) Hashtbl.t;
   mutable sh_rejuvenated : bool;
   (* one latch per [cfg_retargets] entry *)
   sh_retargeted : bool array;
@@ -228,6 +231,7 @@ let pool_create ?(tracer = Tracer.disabled) ?(shards = 1) (cfg : config)
       sh_guard = guard;
       sh_table = Hashtbl.copy table;
       sh_targets = Array.of_list cfg.cfg_targets;
+      sh_operands = Hashtbl.create 16;
       sh_rejuvenated = false;
       sh_retargeted = Array.make (List.length cfg.cfg_retargets) false;
       sh_dropped = false;
@@ -346,6 +350,39 @@ let fire_triggers pool ~shard (ev : Trace.event) =
   | _ -> ());
   !fired
 
+(* One event's operands: flat copies of the shard's pristine operands for
+   (kernel, scale).  The suite's builders are pure functions of (kernel,
+   scale) — the batch elision relies on the same contract — so the
+   pristine set is built once, on the first event of its signature, and
+   every event gets its own copies: kernels write their outputs in place
+   and the oracle's [restore_args] overwrites them, so the pristine
+   buffers never leave the memo.  The memo is a pure cache: it is not
+   part of a shard snapshot, and live, batched and journal-replay
+   stepping all draw from it, so their operands stay bit-identical. *)
+let event_args sh (entry : Suite.entry) (ev : Trace.event) =
+  let key = ev.Trace.ev_kernel, ev.Trace.ev_scale in
+  let pristine =
+    match Hashtbl.find_opt sh.sh_operands key with
+    | Some args -> args
+    | None ->
+      let args = entry.Suite.args ~scale:ev.Trace.ev_scale in
+      Hashtbl.add sh.sh_operands key args;
+      args
+  in
+  Vapor_ir.Eval.copy_args pristine
+
+let shard_event_args pool ~shard (ev : Trace.event) =
+  let sh = pool.pl_shards.(shard) in
+  let entry, _, _ = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
+  event_args sh entry ev
+
+let shard_pristine_args pool ~shard =
+  Hashtbl.fold
+    (fun (kernel, scale) args acc ->
+      (kernel, scale, Vapor_ir.Eval.copy_args args) :: acc)
+    pool.pl_shards.(shard).sh_operands []
+  |> List.sort (fun (k1, s1, _) (k2, s2, _) -> compare (k1, s1) (k2, s2))
+
 (* The root-span + record wrapper shared by {!shard_step} and
    {!shard_step_batch}: [run] performs the actual tiered invocation. *)
 let step_with pool ~shard (ev : Trace.event) ~target run =
@@ -408,7 +445,7 @@ let shard_step ?interp_only ?force_oracle pool ~shard (ev : Trace.event) =
   let target =
     sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
   in
-  let args = entry.Suite.args ~scale:ev.Trace.ev_scale in
+  let args = event_args sh entry ev in
   step_with pool ~shard ev ~target (fun () ->
       note_target_run sh cfg ~target
         (Tiered.invoke ~digest ~label:ev.Trace.ev_kernel ?interp_only
@@ -425,10 +462,11 @@ let shard_faults pool ~shard =
    injector's stream positions, and the retarget trigger latches.  What
    is deliberately NOT in a snapshot: the tracer (spans already emitted
    are history), the store session (its staging directory is its own
-   write-ahead log and survives the crash), and the bytecode table
-   (immutable).  [shard_restore] rewinds the same shard object in place,
-   so every engine-held reference — tracer, store session, breaker —
-   stays valid across a restart. *)
+   write-ahead log and survives the crash), the bytecode table
+   (immutable), and the operand memo (a pure cache of builder output).
+   [shard_restore] rewinds the same shard object in place, so every
+   engine-held reference — tracer, store session, breaker — stays valid
+   across a restart. *)
 
 type shard_snap = {
   sp_stats : Stats.t;
@@ -492,7 +530,7 @@ let shard_replay_step ?interp_only ?force_oracle ?(real_compile = false) pool
   let target =
     sh.sh_targets.(ev.Trace.ev_target mod Array.length sh.sh_targets)
   in
-  let args = entry.Suite.args ~scale:ev.Trace.ev_scale in
+  let args = event_args sh entry ev in
   let saved = Tiered.tracer sh.sh_tiered in
   Tiered.set_tracer sh.sh_tiered Tracer.disabled;
   Fun.protect
@@ -536,7 +574,7 @@ let shard_step_batch ?interp_only ?force_oracle pool ~batch (ev : Trace.event)
     Printf.sprintf "%s/%d/%d" ev.Trace.ev_kernel ev.Trace.ev_target
       ev.Trace.ev_scale
   in
-  let args () = entry.Suite.args ~scale:ev.Trace.ev_scale in
+  let args () = event_args sh entry ev in
   step_with pool ~shard ev ~target (fun () ->
       note_target_run sh cfg ~target
         (Tiered.invoke_batch ~digest ~label:ev.Trace.ev_kernel ?interp_only

@@ -3,9 +3,10 @@
     modeled throughput, amortized vs. cold JIT compile time, cache hit
     rate, and the per-body tier breakdown.
 
-    Argument buffers are rebuilt deterministically per event from the
-    benchmark suite's seeded workload builders, so a replay with the same
-    config and trace prints byte-identical reports. *)
+    Argument buffers come from the benchmark suite's seeded workload
+    builders, built once per (kernel, scale) on each shard and copied
+    fresh for every event, so a replay with the same config and trace
+    prints byte-identical reports. *)
 
 module Target := Vapor_targets.Target
 module Profile := Vapor_jit.Profile
@@ -164,6 +165,19 @@ val shard_step :
   Trace.event ->
   event_record
 
+(** The operands {!shard_step}, {!shard_step_batch} and
+    {!shard_replay_step} hand to the runtime for [ev]: fresh copies of the
+    shard's pristine operands for the event's (kernel, scale), built with
+    [entry.args] on the first event of that signature.  The memo is a
+    pure cache, outside {!shard_snapshot}. *)
+val shard_event_args :
+  pool -> shard:int -> Trace.event -> (string * Vapor_ir.Eval.arg) list
+
+(** Copies of the shard's memoized pristine operands as
+    [(kernel, scale, args)], sorted (for tests). *)
+val shard_pristine_args :
+  pool -> shard:int -> (string * int * (string * Vapor_ir.Eval.arg) list) list
+
 (** The shard's private fault injector ([None] when unguarded, and when
     a multi-shard pool was built from an unguarded config).  The serving
     supervisor draws its per-shard crash/wedge schedule from it. *)
@@ -176,8 +190,9 @@ val shard_faults : pool -> shard:int -> Faults.t option
     cache, tier machinery, fault-injector stream positions, retarget
     trigger latches.  Deliberately outside the snapshot: the tracer
     (emitted spans are history), the store session (its staging
-    directory is its own write-ahead log and survives a crash), and the
-    immutable bytecode table.  {!shard_restore} rewinds the same shard
+    directory is its own write-ahead log and survives a crash), the
+    immutable bytecode table, and the operand memo (a pure cache of
+    builder output).  {!shard_restore} rewinds the same shard
     object in place, so engine-held references stay valid across a
     restart. *)
 

@@ -178,14 +178,6 @@ let veval_mode (target : Target.t) =
   if Target.has_simd target then Veval.Vector target.Target.vs
   else Veval.Scalarized
 
-let copy_args args =
-  List.map
-    (fun (n, a) ->
-      match a with
-      | Eval.Scalar v -> n, Eval.Scalar v
-      | Eval.Array b -> n, Eval.Array (Buffer_.copy b))
-    args
-
 let array_args args =
   List.filter_map
     (function n, Eval.Array b -> Some (n, b) | _, Eval.Scalar _ -> None)
@@ -283,7 +275,7 @@ let interp_run ?(force_check = false) t (s : kstate) ~digest
       else begin
         (* Differential check against the reference interpreter — always
            Veval, never another compiled body. *)
-        let ref_args = copy_args args in
+        let ref_args = Eval.copy_args args in
         ignore (Vfast.run body ~args);
         Stats.incr t.st "oracle.checks";
         ignore (Veval.run vk ~mode ~args:ref_args);
@@ -558,7 +550,7 @@ let jit_run t (s : kstate) ~digest:d ~(target : Target.t) ~force_oracle vk
              && s.ks_jit_runs > 0
              && s.ks_jit_runs mod p.op_sample_every = 0)
       in
-      let reference = if check then Some (copy_args args) else None in
+      let reference = if check then Some (Eval.copy_args args) else None in
       let exec_result =
         if Tracer.on tr then
           Tracer.span_begin tr ~name:"exec" [ "tier", Tracer.S "jit" ];

@@ -24,6 +24,7 @@ module M = Vapor_machine.Minstr
 module Mfun = Vapor_machine.Mfun
 module Layout = Vapor_machine.Layout
 module Simulator = Vapor_machine.Simulator
+module Store = Vapor_store.Store
 
 let fail = Alcotest.fail
 let check_int = Alcotest.(check int)
@@ -32,14 +33,6 @@ let check_string = Alcotest.(check string)
 
 let bytecode (entry : Suite.entry) =
   (Flows.vectorized_bytecode entry).Driver.vkernel
-
-let copy_args args =
-  List.map
-    (fun (n, a) ->
-      match a with
-      | Eval.Scalar v -> n, Eval.Scalar v
-      | Eval.Array b -> n, Eval.Array (Buffer_.copy b))
-    args
 
 let veval_mode (target : Target.t) =
   if Target.has_simd target then Veval.Vector target.Target.vs
@@ -91,7 +84,7 @@ let vfast_sweep_case () =
                   target.Target.name (mode_name mode)
               in
               let fast_args = entry.Suite.args ~scale:1 in
-              let ref_args = copy_args fast_args in
+              let ref_args = Eval.copy_args fast_args in
               let ref_s = Veval.run vk ~mode ~args:ref_args in
               let compiled = Vfast.compile vk ~mode in
               let fast_s = Vfast.run compiled ~args:fast_args in
@@ -111,7 +104,7 @@ let vfast_guard_false_case () =
       let mode = Veval.Vector 16 in
       let ctx = entry.Suite.name ^ "/guard-false" in
       let fast_args = entry.Suite.args ~scale:1 in
-      let ref_args = copy_args fast_args in
+      let ref_args = Eval.copy_args fast_args in
       let ref_s = Veval.run ~guard_true vk ~mode ~args:ref_args in
       let compiled = Vfast.compile vk ~mode in
       let fast_s = Vfast.run ~guard_true compiled ~args:fast_args in
@@ -128,7 +121,7 @@ let vfast_reuse_case () =
   let compiled = Vfast.compile vk ~mode in
   for i = 1 to 3 do
     let fast_args = entry.Suite.args ~scale:1 in
-    let ref_args = copy_args fast_args in
+    let ref_args = Eval.copy_args fast_args in
     let ref_s = Veval.run vk ~mode ~args:ref_args in
     let fast_s = Vfast.run compiled ~args:fast_args in
     let ctx = Printf.sprintf "sfir_fp run %d" i in
@@ -180,7 +173,7 @@ let vfast_error_equiv_case () =
     cases;
   (* Argument order must not matter (assoc lookup, like the reference). *)
   let fast_args = List.rev (entry.Suite.args ~scale:1) in
-  let ref_args = copy_args fast_args in
+  let ref_args = Eval.copy_args fast_args in
   ignore (Veval.run vk ~mode ~args:ref_args);
   ignore (Vfast.run compiled ~args:fast_args);
   check_args_bit_equal "reversed args" ref_args fast_args
@@ -193,7 +186,7 @@ let vfast_corrupt_case () =
   let mode = Veval.Vector 16 in
   let bad = Vfast.corrupt (Vfast.compile vk ~mode) in
   let fast_args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args fast_args in
+  let ref_args = Eval.copy_args fast_args in
   ignore (Veval.run vk ~mode ~args:ref_args);
   ignore (Vfast.run bad ~args:fast_args);
   let differs =
@@ -225,7 +218,7 @@ let plan_sweep_case () =
                       target.Target.name profile.Profile.name scale
                   in
                   let fast_args = entry.Suite.args ~scale in
-                  let ref_args = copy_args fast_args in
+                  let ref_args = Eval.copy_args fast_args in
                   let rr = Exec.run_reference target compiled ~args:ref_args in
                   let rf = Exec.run target compiled ~args:fast_args in
                   check_int (ctx ^ ": cycles") rr.Exec.cycles rf.Exec.cycles;
@@ -526,7 +519,7 @@ let corrupt_slot_quarantine_case () =
       ~hotness_threshold:1000 ()
   in
   let fast_args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args fast_args in
+  let ref_args = Eval.copy_args fast_args in
   ignore (Veval.run vk ~mode:(veval_mode target) ~args:ref_args);
   ignore
     (Tiered.invoke tiered ~target ~profile:Profile.gcc4cli vk ~args:fast_args);
@@ -554,6 +547,203 @@ let slot_cache_counter_case () =
   done;
   check_int "one slot compilation" 1 (Tiered.slot_compiles tiered);
   check_int "four slot hits" 4 (Tiered.slot_hits tiered)
+
+(* --- per-event operands and the reusable memory image ------------------- *)
+
+(* The two buffers hold physically distinct storage. *)
+let distinct_storage (a : Buffer_.t) (b : Buffer_.t) =
+  match a.Buffer_.data, b.Buffer_.data with
+  | Buffer_.Ints x, Buffer_.Ints y -> x != y
+  | Buffer_.Floats x, Buffer_.Floats y -> x != y
+  | _ -> true
+
+(* Same names, equal scalars, and [Buffer_.equal] arrays in distinct
+   storage. *)
+let check_fresh_copies ctx a b =
+  check_int (ctx ^ ": argument count") (List.length a) (List.length b);
+  List.iter2
+    (fun (n1, a1) (n2, a2) ->
+      check_string (ctx ^ ": argument name") n1 n2;
+      match a1, a2 with
+      | Eval.Scalar v1, Eval.Scalar v2 ->
+        check_bool (Printf.sprintf "%s: scalar %s equal" ctx n1) true
+          (Value.equal v1 v2)
+      | Eval.Array b1, Eval.Array b2 ->
+        check_bool (Printf.sprintf "%s: array %s equal" ctx n1) true
+          (Buffer_.equal b1 b2);
+        check_bool (Printf.sprintf "%s: array %s distinct" ctx n1) true
+          (distinct_storage b1 b2)
+      | _ -> fail (Printf.sprintf "%s: argument %s changed kind" ctx n1))
+    a b
+
+let builder_purity_case () =
+  (* The contract the operand memo and the batch elision rest on: a
+     builder is a pure function of (kernel, scale) and every call returns
+     fresh storage. *)
+  List.iter
+    (fun (entry : Suite.entry) ->
+      List.iter
+        (fun scale ->
+          check_fresh_copies
+            (Printf.sprintf "%s/x%d" entry.Suite.name scale)
+            (entry.Suite.args ~scale) (entry.Suite.args ~scale))
+        [ 1; 2 ])
+    Suite.all
+
+(* A store holding a hostile saxpy_fp body for sse/mono: its first
+   instruction loads far past the memory image, so every run of it
+   faults. *)
+let store_with_faulting_saxpy () =
+  let vk = bytecode (Suite.find "saxpy_fp") in
+  let compiled = Compile.compile ~target:sse ~profile:Profile.mono vk in
+  let mfun = compiled.Compile.mfun in
+  let oob =
+    M.Load
+      (Src_type.I32, M.gpr 0, { (M.plain_addr "x") with M.disp = 1 lsl 30 })
+  in
+  let hostile =
+    { compiled with
+      Compile.mfun =
+        { mfun with Mfun.instrs = Array.append [| oob |] mfun.Mfun.instrs } }
+  in
+  let store =
+    match
+      Store.open_store ~create:true (Filename.temp_dir "vapor_operands" ".test")
+    with
+    | Ok s -> s
+    | Error m -> fail ("open_store: " ^ m)
+  in
+  let ss = Store.session ~id:0 store in
+  Store.publish ss
+    {
+      Store.sk_digest = Vapor_runtime.Digest.(raw (of_vkernel vk));
+      sk_target = sse.Target.name;
+      sk_profile = Profile.mono.Profile.name;
+    }
+    vk hostile;
+  Store.merge store [ ss ];
+  store
+
+let pristine_isolation_case () =
+  (* A guarded replay that corrupts bodies, catches oracle mismatches
+     (whose [restore_args] overwrites the event's buffers) and exec
+     faults (a hostile stored body) must leave the shard's pristine
+     operands untouched, and every event must get its own buffers. *)
+  let trace =
+    Trace.standard ~seed:5 ~scales:[ 1; 2 ] ~length:400 ~n_targets:1 ()
+  in
+  let faults =
+    Faults.make { (Faults.chaos_spec ~seed:5) with Faults.f_corrupt_rate = 0.5 }
+  in
+  let cfg =
+    {
+      (replay_cfg Tiered.Fast) with
+      Service.cfg_hotness = 0;
+      cfg_store = Some (store_with_faulting_saxpy ());
+      cfg_guard =
+        {
+          Tiered.g_oracle = Some Tiered.oracle_always;
+          g_faults = Some faults;
+          g_retry_budget = 3;
+        };
+    }
+  in
+  let pool = Service.pool_create cfg ~kernels:trace.Trace.tr_kernels in
+  let records =
+    List.map (fun ev -> Service.shard_step pool ~shard:0 ev)
+      trace.Trace.tr_events
+  in
+  let count outcome =
+    List.length
+      (List.filter (fun r -> r.Service.er_outcome = outcome) records)
+  in
+  check_bool "bodies corrupted" true (Faults.corrupted_count faults > 0);
+  check_bool "oracle mismatches" true (count Tiered.Oracle_mismatch > 0);
+  check_bool "exec faults" true (count Tiered.Exec_fault > 0);
+  let memo = Service.shard_pristine_args pool ~shard:0 in
+  check_bool "memo filled" true (memo <> []);
+  List.iter
+    (fun (kernel, scale, args) ->
+      check_fresh_copies
+        (Printf.sprintf "pristine %s/x%d" kernel scale)
+        ((Suite.find kernel).Suite.args ~scale) args)
+    memo;
+  let ev = List.hd trace.Trace.tr_events in
+  check_fresh_copies "two events of one signature"
+    (Service.shard_event_args pool ~shard:0 ev)
+    (Service.shard_event_args pool ~shard:0 ev)
+
+let image_reuse_case () =
+  (* One plan's reusable image over scales 1 -> 2 -> 1, dirtied in between
+     by a fuel-exhausted run and an out-of-bounds fault: every clean run
+     must match a run on a fresh layout and image bit for bit, and every
+     refill must be byte-identical to a fresh [materialize]. *)
+  let entry = Suite.find "saxpy_fp" in
+  let target = Vapor_targets.Sse.target in
+  let compiled =
+    Compile.compile ~target ~profile:Profile.mono (bytecode entry)
+  in
+  let plan = compiled.Compile.plan in
+  let f_stack = compiled.Compile.mfun.Mfun.stack_bytes in
+  (* the stack [Exec] sizes, as [image] does *)
+  let stack_bytes = max Layout.default_stack_bytes (f_stack + 256) in
+  let check_refill ctx args =
+    let arrays = arrays args in
+    let layout, mem =
+      Layout.image_fill (Simulator.plan_image plan) ~stack_bytes arrays
+    in
+    let fresh_layout, fresh_mem = image ~stack_bytes:f_stack arrays in
+    check_bool (ctx ^ ": layout") true (layout = fresh_layout);
+    check_bool (ctx ^ ": image") true (Bytes.equal mem fresh_mem)
+  in
+  let clean ctx scale =
+    let args = entry.Suite.args ~scale in
+    check_refill ctx args;
+    let fresh_args = Eval.copy_args args in
+    let r = Exec.run target compiled ~args in
+    let arrays, scalars = Exec.split_args fresh_args in
+    let layout, mem = image ~stack_bytes:f_stack arrays in
+    let f =
+      Simulator.run target layout mem compiled.Compile.mfun ~scalar_args:scalars
+    in
+    Layout.read_back layout mem arrays;
+    check_int (ctx ^ ": cycles") f.Simulator.r_cycles r.Exec.cycles;
+    check_int (ctx ^ ": instructions") f.Simulator.r_instructions
+      r.Exec.instructions;
+    check_args_bit_equal ctx fresh_args args
+  in
+  let fuel_exhausted scale =
+    let arrays, scalars = Exec.split_args (entry.Suite.args ~scale) in
+    let layout, mem =
+      Layout.image_fill (Simulator.plan_image plan) ~stack_bytes arrays
+    in
+    match Simulator.run_plan ~fuel:40 plan layout mem ~scalar_args:scalars with
+    | _ -> fail "fuel 40 should be exhausted"
+    | exception Simulator.Fault _ -> ()
+  in
+  let out_of_bounds scale =
+    (* a trip count far past the arrays walks off the image *)
+    let args =
+      List.map
+        (function
+          | "n", _ -> "n", Eval.Scalar (Value.Int 1_000_000)
+          | a -> a)
+        (entry.Suite.args ~scale)
+    in
+    match Exec.run_checked target compiled ~args with
+    | Error { Exec.ee_stage = `Simulate; _ } -> ()
+    | _ -> fail "out-of-bounds run should fault"
+  in
+  clean "x1" 1;
+  out_of_bounds 1;
+  clean "x1 after fault" 1;
+  fuel_exhausted 1;
+  clean "x1 after fuel" 1;
+  clean "x2" 2;
+  out_of_bounds 2;
+  fuel_exhausted 2;
+  clean "x2 dirty" 2;
+  clean "x1 again" 1
 
 let () =
   Alcotest.run "fastpath"
@@ -592,5 +782,14 @@ let () =
             corrupt_slot_quarantine_case;
           Alcotest.test_case "slot bodies compiled once" `Quick
             slot_cache_counter_case;
+        ] );
+      ( "operands",
+        [
+          Alcotest.test_case "builders pure and fresh" `Quick
+            builder_purity_case;
+          Alcotest.test_case "pristine operands isolated" `Quick
+            pristine_isolation_case;
+          Alcotest.test_case "image reuse matches fresh" `Quick
+            image_reuse_case;
         ] );
     ]

@@ -29,14 +29,6 @@ let check_bool = Alcotest.(check bool)
 let bytecode name =
   (Flows.vectorized_bytecode (Suite.find name)).Driver.vkernel
 
-let copy_args args =
-  List.map
-    (fun (n, a) ->
-      match a with
-      | Eval.Scalar v -> n, Eval.Scalar v
-      | Eval.Array b -> n, Eval.Array (Buffer_.copy b))
-    args
-
 let veval_mode (target : Target.t) =
   if Target.has_simd target then Veval.Vector target.Target.vs
   else Veval.Scalarized
@@ -70,7 +62,7 @@ let differential_sweep_case () =
                   profile.Profile.name
               in
               let jit_args = entry.Suite.args ~scale:1 in
-              let ref_args = copy_args jit_args in
+              let ref_args = Eval.copy_args jit_args in
               (match Compile.compile_checked ~target ~profile vk with
               | Error e ->
                 fail (ctx ^ ": compile failed: "
@@ -113,7 +105,7 @@ let forced_scalar_runs_case () =
   check_bool "forced regions recorded" true
     (compiled.Compile.forced_scalar_regions <> []);
   let jit_args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args jit_args in
+  let ref_args = Eval.copy_args jit_args in
   ignore (Exec.run sse compiled ~args:jit_args);
   ignore (Veval.run vk ~mode:Veval.Scalarized ~args:ref_args);
   check_args_bit_equal "forced-scalar saxpy" ref_args jit_args
@@ -129,7 +121,7 @@ let run_checked_fault_case () =
     List.filter (fun (_, a) -> match a with Eval.Scalar _ -> false | _ -> true)
       args
   in
-  let before = copy_args broken in
+  let before = Eval.copy_args broken in
   (match Exec.run_checked sse compiled ~args:broken with
   | Ok _ -> fail "expected a simulator fault"
   | Error e -> check_bool "fault stage" true (e.Exec.ee_stage = `Simulate));
@@ -214,7 +206,7 @@ let oracle_healthy_case () =
   let vk = bytecode "saxpy_fp" in
   let tiered, st = guarded ~oracle:Tiered.oracle_always () in
   let args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args args in
+  let ref_args = Eval.copy_args args in
   let r =
     Tiered.invoke tiered ~target:sse ~profile:Profile.mono vk ~args
   in
@@ -236,7 +228,7 @@ let corruption_quarantine_case () =
   in
   let tiered, st = guarded ~oracle:Tiered.oracle_always ~faults () in
   let args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args args in
+  let ref_args = Eval.copy_args args in
   let r =
     Tiered.invoke tiered ~target:sse ~profile:Profile.mono vk ~args
   in
@@ -272,7 +264,7 @@ let retry_recovers_case () =
   in
   let tiered, st = guarded ~faults ~retry_budget:3 () in
   let args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args args in
+  let ref_args = Eval.copy_args args in
   let r =
     Tiered.invoke tiered ~target:sse ~profile:Profile.mono vk ~args
   in
@@ -297,7 +289,7 @@ let retry_exhausted_case () =
   in
   let tiered, st = guarded ~faults ~retry_budget:2 () in
   let args = entry.Suite.args ~scale:1 in
-  let ref_args = copy_args args in
+  let ref_args = Eval.copy_args args in
   let r =
     Tiered.invoke tiered ~target:sse ~profile:Profile.mono vk ~args
   in

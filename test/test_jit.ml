@@ -9,14 +9,6 @@ module Profile = Vapor_jit.Profile
 
 let fail = Alcotest.fail
 
-let copy_args args =
-  List.map
-    (fun (n, a) ->
-      match a with
-      | Eval.Scalar v -> n, Eval.Scalar v
-      | Eval.Array b -> n, Eval.Array (Buffer_.copy b))
-    args
-
 let compare_arrays ~eps name ref_args got_args =
   List.iter2
     (fun (n1, b1) (_, b2) ->
@@ -32,7 +24,7 @@ let differential ~flow entry () =
   let k = Suite.kernel entry in
   let ref_args = entry.Suite.args ~scale:1 in
   ignore (Eval.run k ~args:ref_args);
-  let got_args = copy_args (entry.Suite.args ~scale:1) in
+  let got_args = Eval.copy_args (entry.Suite.args ~scale:1) in
   (* [flow] must build its own args; adapt: we run it with got_args by
      constructing a one-shot entry. *)
   let entry' = { entry with Suite.args = (fun ~scale -> ignore scale; got_args) } in

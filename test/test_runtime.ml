@@ -206,14 +206,6 @@ let cache_evict_hook_case () =
 
 (* --- tiered execution --------------------------------------------------- *)
 
-let copy_args args =
-  List.map
-    (fun (n, a) ->
-      match a with
-      | Eval.Scalar v -> n, Eval.Scalar v
-      | Eval.Array b -> n, Eval.Array (Buffer_.copy b))
-    args
-
 let compare_arrays ~eps name ref_args got_args =
   List.iter2
     (fun (n1, b1) (_, b2) ->
@@ -270,7 +262,7 @@ let tiered_differential_case () =
           let tiered =
             Tiered.create ~cache ~hotness_threshold:threshold ()
           in
-          let got_args = copy_args (entry.Suite.args ~scale:1) in
+          let got_args = Eval.copy_args (entry.Suite.args ~scale:1) in
           let r =
             Tiered.invoke tiered ~target:sse ~profile:Profile.mono vk
               ~args:got_args

@@ -36,14 +36,6 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 let mono = Profile.mono
 
-let copy_args args =
-  List.map
-    (fun (n, a) ->
-      match a with
-      | Eval.Scalar v -> n, Eval.Scalar v
-      | Eval.Array b -> n, Eval.Array (Buffer_.copy b))
-    args
-
 let args_equal a b =
   List.for_all2
     (fun (_, x) (_, y) ->
@@ -102,7 +94,7 @@ let sve_vl_identity_case () =
           (fun vl ->
             let t = Target.resolve ~vl sve in
             let args = run_on entry t in
-            let ref_args = copy_args (entry.Suite.args ~scale:2) in
+            let ref_args = Eval.copy_args (entry.Suite.args ~scale:2) in
             ignore
               (Veval.run vk ~mode:(Veval.Vector t.Target.vs) ~args:ref_args);
             check_bool
@@ -152,7 +144,7 @@ let avx512_vs_blend_case () =
       let result = Driver.vectorize (Suite.kernel entry) in
       let vk = result.Driver.vkernel in
       let wide = run_on entry avx512 in
-      let ref_args = copy_args (entry.Suite.args ~scale:2) in
+      let ref_args = Eval.copy_args (entry.Suite.args ~scale:2) in
       ignore (Veval.run vk ~mode:(Veval.Vector avx512.Target.vs) ~args:ref_args);
       check_bool
         (Printf.sprintf "%s: avx512 matches interpreter" entry.Suite.name)
