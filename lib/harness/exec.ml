@@ -35,14 +35,7 @@ let split_args (args : (string * Eval.arg) list) =
    engine: the prepared plan (default) or the reference
    instruction-by-instruction [Simulator.run].  The plan is only valid
    for the target it was prepared for; a caller simulating on a different
-   target (cross-target what-ifs) falls back to the reference engine.
-
-   A plan run under the default aligned policy lays memory out in the
-   plan's own reusable image ({!Layout.image_fill}: the layout is
-   replanned only when the operand shape changes, the image re-zeroed
-   and refilled every run).  Other policies and the reference engine
-   plan and materialize afresh, the baseline the reuse is measured
-   against. *)
+   target (cross-target what-ifs) falls back to the reference engine. *)
 let run_with ~fast ?(policy = Layout.aligned_policy) (target : Target.t)
     (compiled : Compile.t) ~(args : (string * Eval.arg) list) : run_result =
   let module Stage = Vapor_obs.Stage in
@@ -58,13 +51,8 @@ let run_with ~fast ?(policy = Layout.aligned_policy) (target : Target.t)
          target.Target.name
   in
   let t0 = Stage.start () in
-  let layout, mem =
-    if use_plan && policy == Layout.aligned_policy then
-      Layout.image_fill (Simulator.plan_image plan) ~stack_bytes arrays
-    else
-      let layout = Layout.plan ~stack_bytes ~policy arrays in
-      layout, Layout.materialize layout arrays
-  in
+  let layout = Layout.plan ~stack_bytes ~policy arrays in
+  let mem = Layout.materialize layout arrays in
   Stage.record "layout" t0;
   let t0 = Stage.start () in
   let r : Simulator.result =

@@ -18,10 +18,7 @@ val split_args :
 (** Lay out memory per [policy], simulate, and copy results back into the
     argument buffers.  Uses the pre-resolved execution plan when it matches
     the target (the common case); cross-target simulation falls back to the
-    reference engine.  A plan run under the default policy reuses the
-    plan's layout and memory image ({!Vapor_machine.Simulator.plan_image},
-    re-zeroed and refilled every run), so like the plan itself it must not
-    run concurrently with another run of the same compiled body. *)
+    reference engine. *)
 val run :
   ?policy:Layout.policy ->
   Target.t ->

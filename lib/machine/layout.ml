@@ -112,11 +112,12 @@ let read_value mem ty addr : Value.t =
   | Src_type.F64 ->
     Value.Float (Int64.float_of_bits (Bytes.get_int64_le mem addr))
 
-(* Copy array arguments into a zeroed image.  The common representations
-   copy with unboxed per-type loops; any other pairing (e.g. an int buffer
-   materialized at a float element type) goes through the boxed
-   [write_value] loop with identical results. *)
-let copy_in t mem (arrays : (string * Buffer_.t) list) =
+(* Build the memory image, copying array arguments in.  The common
+   representations copy with unboxed per-type loops; any other pairing
+   (e.g. an int buffer materialized at a float element type) goes through
+   the boxed [write_value] loop with identical results. *)
+let materialize t (arrays : (string * Buffer_.t) list) : Bytes.t =
+  let mem = Bytes.make t.total_bytes '\000' in
   List.iter
     (fun (name, buf) ->
       let r = List.assoc name t.regions in
@@ -151,64 +152,8 @@ let copy_in t mem (arrays : (string * Buffer_.t) list) =
         for i = 0 to Buffer_.length buf - 1 do
           write_value mem r.elem (base + (i * esize)) (Buffer_.get buf i)
         done)
-    arrays
-
-(* Build the memory image, copying array arguments in. *)
-let materialize t arrays =
-  let mem = Bytes.make t.total_bytes '\000' in
-  copy_in t mem arrays;
+    arrays;
   mem
-
-(* Refill an image in place: every byte zeroed, then the arrays copied
-   in, so the result is byte-identical to a fresh [materialize] whatever
-   the image held before. *)
-let materialize_into t mem arrays =
-  if Bytes.length mem <> t.total_bytes then
-    invalid_arg "Layout.materialize_into: image size does not match layout";
-  Bytes.fill mem 0 t.total_bytes '\000';
-  copy_in t mem arrays
-
-(* --- reusable images ---------------------------------------------------- *)
-
-type image = {
-  mutable im_layout : t option;
-  mutable im_mem : Bytes.t;
-}
-
-let image_create () = { im_layout = None; im_mem = Bytes.empty }
-
-(* Does [t] (planned under [aligned_policy]) place exactly these arrays
-   with this stack?  Under that policy the layout is a function of the
-   array names, lengths and element types, in order, and of the stack
-   size, so equal shapes give equal layouts. *)
-let same_shape t ~stack_bytes arrays =
-  t.total_bytes - t.stack_base = stack_bytes
-  &&
-  let rec go regions arrays =
-    match regions, arrays with
-    | [], [] -> true
-    | (rn, r) :: regions, (n, buf) :: arrays ->
-      String.equal rn n
-      && Src_type.equal r.elem buf.Buffer_.elem
-      && r.bytes = Buffer_.length buf * Src_type.size_of r.elem
-      && go regions arrays
-    | _ -> false
-  in
-  go t.regions arrays
-
-let image_fill im ~stack_bytes arrays =
-  let t =
-    match im.im_layout with
-    | Some t when same_shape t ~stack_bytes arrays -> t
-    | _ ->
-      let t = plan ~stack_bytes ~policy:aligned_policy arrays in
-      im.im_layout <- Some t;
-      if Bytes.length im.im_mem <> t.total_bytes then
-        im.im_mem <- Bytes.create t.total_bytes;
-      t
-  in
-  materialize_into t im.im_mem arrays;
-  t, im.im_mem
 
 (* Copy memory contents back into the argument buffers after a run.  The
    unboxed loops require the region and buffer element types to agree

@@ -42,29 +42,5 @@ val read_value : Bytes.t -> Src_type.t -> int -> Value.t
 (** Build the memory image with array arguments copied in. *)
 val materialize : t -> (string * Buffer_.t) list -> Bytes.t
 
-(** Refill an existing image of [t.total_bytes] bytes: every byte is
-    zeroed, then the arrays are copied in, so the result is byte-identical
-    to {!materialize} whatever the image held before (spill slots, slack,
-    earlier outputs).
-    @raise Invalid_argument if the image size does not match [t]. *)
-val materialize_into : t -> Bytes.t -> (string * Buffer_.t) list -> unit
-
-(** {2 Reusable images}
-
-    One layout and its memory image, kept across runs of one compiled
-    body.  The layout is planned under {!aligned_policy} and keyed by
-    operand shape (array names, lengths and element types, in order, and
-    the stack size); a run with a different shape replans.  Not
-    re-entrant: the image returned by one {!image_fill} is overwritten by
-    the next. *)
-type image
-
-val image_create : unit -> image
-
-(** The cached layout for this shape (replanned when the shape changed)
-    and the image refilled through {!materialize_into}. *)
-val image_fill :
-  image -> stack_bytes:int -> (string * Buffer_.t) list -> t * Bytes.t
-
 (** Copy memory contents back into the argument buffers after a run. *)
 val read_back : t -> Bytes.t -> (string * Buffer_.t) list -> unit

@@ -488,11 +488,9 @@ type plan = {
   p_bases : int array; (* per-run resolved bases; min_int = unresolved *)
   p_binders : (state -> (string * Value.t) list -> unit) array;
   mutable p_state : state option; (* scratch, created on first run *)
-  p_image : Layout.image; (* scratch layout + memory image for [Exec] *)
 }
 
 let plan_target p = p.p_target
-let plan_image p = p.p_image
 
 (* Cycle cost of one instruction, with the x87 blending [run] applies. *)
 let instr_cost (target : Target.t) ~x87 ins =
@@ -2410,7 +2408,6 @@ let prepare ~(target : Target.t) (f : Mfun.t) : plan =
       p_bases = bases;
       p_binders;
       p_state = None;
-      p_image = Layout.image_create ();
     }
   in
   Vapor_obs.Stage.record "prepare" stage_t0;

@@ -40,10 +40,6 @@ val prepare : target:Target.t -> Mfun.t -> plan
 (** The target the plan's costs and lane counts were resolved for. *)
 val plan_target : plan -> Target.t
 
-(** The plan's reusable layout and memory image ({!Layout.image}), kept
-    beside its scratch machine state and, like it, not re-entrant. *)
-val plan_image : plan -> Layout.image
-
 (** Run a prepared plan; same contract and faults as [run].  Not
     re-entrant: each plan owns one scratch machine state. *)
 val run_plan :

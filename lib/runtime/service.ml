@@ -376,13 +376,6 @@ let shard_event_args pool ~shard (ev : Trace.event) =
   let entry, _, _ = Hashtbl.find sh.sh_table ev.Trace.ev_kernel in
   event_args sh entry ev
 
-let shard_pristine_args pool ~shard =
-  Hashtbl.fold
-    (fun (kernel, scale) args acc ->
-      (kernel, scale, Vapor_ir.Eval.copy_args args) :: acc)
-    pool.pl_shards.(shard).sh_operands []
-  |> List.sort (fun (k1, s1, _) (k2, s2, _) -> compare (k1, s1) (k2, s2))
-
 (* The root-span + record wrapper shared by {!shard_step} and
    {!shard_step_batch}: [run] performs the actual tiered invocation. *)
 let step_with pool ~shard (ev : Trace.event) ~target run =

@@ -169,14 +169,10 @@ val shard_step :
     {!shard_replay_step} hand to the runtime for [ev]: fresh copies of the
     shard's pristine operands for the event's (kernel, scale), built with
     [entry.args] on the first event of that signature.  The memo is a
-    pure cache, outside {!shard_snapshot}. *)
+    pure cache, outside {!shard_snapshot}.  Exposed so tests can check
+    that the memo stays pristine and that events never share buffers. *)
 val shard_event_args :
   pool -> shard:int -> Trace.event -> (string * Vapor_ir.Eval.arg) list
-
-(** Copies of the shard's memoized pristine operands as
-    [(kernel, scale, args)], sorted (for tests). *)
-val shard_pristine_args :
-  pool -> shard:int -> (string * int * (string * Vapor_ir.Eval.arg) list) list
 
 (** The shard's private fault injector ([None] when unguarded, and when
     a multi-shard pool was built from an unguarded config).  The serving

@@ -5,7 +5,8 @@
    (with its serving flags and the runtime's real-compile hint) after
    execution, and a checkpoint truncates the completed suffix.  The
    on-disk side mirrors the same records into checksummed segment files
-   (VAPORJNL) rotated atomically at each checkpoint, next to a
+   (VAPORJNL) published atomically at checkpoint boundaries once they
+   pass a size threshold, next to a
    digest-level checkpoint artifact (VAPORCKP) — the same
    length-prefixed, MD5-checksummed framing idiom as the persistent
    store's entry files, via [Store.Codec]. *)
@@ -43,29 +44,23 @@ let flag_interp_only = 1
 let flag_force_oracle = 2
 let flag_real_compile = 4
 
-let encode_payload = function
+let add_payload b = function
   | Admit a ->
-    let b = Buffer.create 64 in
     Codec.put_u32 b 0;
     Codec.put_u32 b a.f_seq;
     Codec.put_u32 b a.f_at;
     Codec.put_u32 b a.f_index;
     Codec.put_str b a.f_kernel;
     Codec.put_u32 b a.f_target;
-    Codec.put_u32 b a.f_scale;
-    Buffer.contents b
+    Codec.put_u32 b a.f_scale
   | Complete c ->
-    let b = Buffer.create 16 in
     Codec.put_u32 b 1;
     Codec.put_u32 b c.f_seq;
-    Codec.put_u32 b c.f_flags;
-    Buffer.contents b
+    Codec.put_u32 b c.f_flags
   | Mark m ->
-    let b = Buffer.create 16 in
     Codec.put_u32 b 2;
     Codec.put_u32 b m.f_ckpt;
-    Codec.put_u32 b m.f_at;
-    Buffer.contents b
+    Codec.put_u32 b m.f_at
 
 let decode_payload s =
   let pos = ref 0 in
@@ -96,13 +91,21 @@ let decode_payload s =
 
 (* One frame on the wire: u32 payload length, 16-byte MD5 of the
    payload, payload bytes.  A torn tail (truncated length, checksum, or
-   payload) or a checksum mismatch is rejected, never skipped. *)
-let encode_frame fr =
-  let payload = encode_payload fr in
-  let b = Buffer.create (String.length payload + 24) in
+   payload) or a checksum mismatch is rejected, never skipped.
+   [frame_into b] leaves exactly the frame's bytes in [b], so a journal
+   reuses one buffer for every frame it writes. *)
+let frame_into b fr =
+  Buffer.clear b;
+  add_payload b fr;
+  let payload = Buffer.contents b in
+  Buffer.clear b;
   Codec.put_u32 b (String.length payload);
   Buffer.add_string b (Md5.string payload);
-  Buffer.add_string b payload;
+  Buffer.add_string b payload
+
+let encode_frame fr =
+  let b = Buffer.create 64 in
+  frame_into b fr;
   Buffer.contents b
 
 let decode_frames s : (frame list, string) result =
@@ -291,7 +294,8 @@ type t = {
   j_dir : string option;
   (* completed events since the last checkpoint, newest first *)
   mutable j_completed : entry list;
-  mutable j_frames : Buffer.t;  (* active disk segment body *)
+  mutable j_bytes : int;  (* frame bytes in the active disk segment *)
+  j_scratch : Buffer.t;  (* the frame being written *)
   mutable j_tmp_oc : out_channel option;  (* append channel to the .tmp *)
   (* latest checkpoint round not yet published to disk; the record is a
      thunk so superseded rounds never materialize their digest tables *)
@@ -307,8 +311,12 @@ type t = {
    body crosses this threshold.  Checkpoint rounds are frequent (every
    few thousand virtual cycles); publishing two files per round would
    dwarf the serving work itself, while size-based rotation amortizes
-   the disk traffic to O(bytes journaled). *)
-let rotate_bytes = 32_768
+   the disk traffic to O(bytes journaled).  Each publication costs a
+   handful of file-system operations (close, rename, create) whatever
+   the segment's size, so the threshold is set where those stay a small
+   share of the per-event journaling cost: at roughly 100 bytes of
+   frames per event, one rotation per ~2,500 events. *)
+let rotate_bytes = 262_144
 
 let segment_tmp_path dir shard =
   Filename.concat dir (Printf.sprintf "shard-%d.vjl.tmp" shard)
@@ -319,13 +327,14 @@ let segment_path dir shard ckpt =
 let artifact_path dir shard ckpt =
   Filename.concat dir (Printf.sprintf "shard-%d.ck%d.vckp" shard ckpt)
 
-(* The active segment is mirrored to [shard-N.vjl.tmp] write-ahead: each
-   record is appended through a buffered channel, so the mirror costs
+(* The active segment is written to [shard-N.vjl.tmp] write-ahead: each
+   record is appended through a buffered channel, so the journal costs
    O(1) per record.  The .tmp suffix marks the file as possibly torn,
    exactly like the store's in-flight object writes (a torn tail is
-   caught by the frame checksums anyway).  Rotation re-writes the
-   finished segment under its final name atomically (whole-content write
-   + rename), so a published segment is never torn. *)
+   caught by the frame checksums anyway).  Rotation closes the finished
+   segment and renames it to its final name, the same atomic publish as
+   the store's write-temp + rename, so a published segment is never
+   torn and its bytes are written once. *)
 let open_tmp j =
   match j.j_dir with
   | None -> ()
@@ -341,8 +350,13 @@ let close_tmp j =
     close_out oc;
     j.j_tmp_oc <- None
 
-let append_tmp j s =
-  match j.j_tmp_oc with None -> () | Some oc -> output_string oc s
+let append_frame j fr =
+  match j.j_tmp_oc with
+  | None -> ()
+  | Some oc ->
+    frame_into j.j_scratch fr;
+    Buffer.output_buffer oc j.j_scratch;
+    j.j_bytes <- j.j_bytes + Buffer.length j.j_scratch
 
 let create ?dir ~shard () =
   (match dir with Some d -> Store.mkdir_p d | None -> ());
@@ -351,7 +365,8 @@ let create ?dir ~shard () =
       j_shard = shard;
       j_dir = dir;
       j_completed = [];
-      j_frames = Buffer.create 256;
+      j_bytes = 0;
+      j_scratch = Buffer.create 64;
       j_tmp_oc = None;
       j_pending_ck = None;
       j_segments = 0;
@@ -364,22 +379,17 @@ let create ?dir ~shard () =
 
 let note_admit j ~at ~seq (ev : Trace.event) =
   j.j_admits <- j.j_admits + 1;
-  if j.j_dir <> None then begin
-    let fr =
-      encode_frame
-        (Admit
-           {
-             f_seq = seq;
-             f_at = at;
-             f_index = ev.Trace.ev_index;
-             f_kernel = ev.Trace.ev_kernel;
-             f_target = ev.Trace.ev_target;
-             f_scale = ev.Trace.ev_scale;
-           })
-    in
-    Buffer.add_string j.j_frames fr;
-    append_tmp j fr
-  end
+  if j.j_dir <> None then
+    append_frame j
+      (Admit
+         {
+           f_seq = seq;
+           f_at = at;
+           f_index = ev.Trace.ev_index;
+           f_kernel = ev.Trace.ev_kernel;
+           f_target = ev.Trace.ev_target;
+           f_scale = ev.Trace.ev_scale;
+         })
 
 let note_complete j ~seq (ev : Trace.event) ~interp_only ~force_oracle
     ~real_compile =
@@ -399,21 +409,25 @@ let note_complete j ~seq (ev : Trace.event) ~interp_only ~force_oracle
       lor (if force_oracle then flag_force_oracle else 0)
       lor if real_compile then flag_real_compile else 0
     in
-    let fr = encode_frame (Complete { f_seq = seq; f_flags = flags }) in
-    Buffer.add_string j.j_frames fr;
-    append_tmp j fr
+    append_frame j (Complete { f_seq = seq; f_flags = flags })
   end
 
 (* The replay suffix: completed events since the last checkpoint, oldest
    first. *)
 let completed j = List.rev j.j_completed
 
+(* Close the active segment and publish it under [path]. *)
+let publish_tmp j dir path =
+  close_tmp j;
+  Sys.rename (segment_tmp_path dir j.j_shard) path;
+  j.j_bytes <- 0;
+  j.j_segments <- j.j_segments + 1
+
 (* Rotate the active segment: publish it under the checkpoint-numbered
-   final name (atomic write + rename), write the digest-level artifact
-   of the round that closed it beside it, and start a new segment. *)
+   final name, write the digest-level artifact of the round that closed
+   it beside it (atomic write + rename), and start a new segment. *)
 let rotate j dir ~ckpt =
-  let body = encode_header ~shard:j.j_shard ^ Buffer.contents j.j_frames in
-  Store.write_file_atomic (segment_path dir j.j_shard ckpt) body;
+  publish_tmp j dir (segment_path dir j.j_shard ckpt);
   (match j.j_pending_ck with
   | Some (n, ck) ->
     Store.write_file_atomic
@@ -421,9 +435,6 @@ let rotate j dir ~ckpt =
       (encode_checkpoint (ck ()));
     j.j_pending_ck <- None
   | None -> ());
-  Buffer.clear j.j_frames;
-  j.j_segments <- j.j_segments + 1;
-  close_tmp j;
   open_tmp j
 
 (* Checkpoint: truncate the in-memory suffix, close the round with a
@@ -435,11 +446,9 @@ let checkpoint j ~ckpt ~at (ck : unit -> checkpoint) =
   match j.j_dir with
   | None -> ()
   | Some dir ->
-    let mark = encode_frame (Mark { f_ckpt = ckpt; f_at = at }) in
-    Buffer.add_string j.j_frames mark;
-    append_tmp j mark;
+    append_frame j (Mark { f_ckpt = ckpt; f_at = at });
     j.j_pending_ck <- Some (ckpt, ck);
-    if Buffer.length j.j_frames >= rotate_bytes then rotate j dir ~ckpt
+    if j.j_bytes >= rotate_bytes then rotate j dir ~ckpt
 
 (* Read back and verify the artifact for [ckpt] — the recovery path's
    proof that what it would hand a cold restart is intact.  If the round
@@ -468,25 +477,20 @@ let finalize j =
   match j.j_dir with
   | None -> ()
   | Some dir ->
-    close_tmp j;
-    if Buffer.length j.j_frames > 0 then begin
-      let body =
-        encode_header ~shard:j.j_shard ^ Buffer.contents j.j_frames
-      in
-      Store.write_file_atomic
+    if j.j_bytes > 0 then
+      publish_tmp j dir
         (Filename.concat dir (Printf.sprintf "shard-%d.final.vjl" j.j_shard))
-        body;
-      Buffer.clear j.j_frames;
-      j.j_segments <- j.j_segments + 1
+    else begin
+      close_tmp j;
+      try Sys.remove (segment_tmp_path dir j.j_shard) with Sys_error _ -> ()
     end;
-    (match j.j_pending_ck with
+    match j.j_pending_ck with
     | Some (n, ck) ->
       Store.write_file_atomic
         (artifact_path dir j.j_shard n)
         (encode_checkpoint (ck ()));
       j.j_pending_ck <- None
-    | None -> ());
-    (try Sys.remove (segment_tmp_path dir j.j_shard) with Sys_error _ -> ())
+    | None -> ()
 
 let admits j = j.j_admits
 let completes j = j.j_completes

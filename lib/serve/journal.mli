@@ -104,9 +104,10 @@ val completed : t -> entry list
 
 (** Truncate the replay suffix and close the round with a {!Mark}
     frame.  Segments rotate by size, not per round: once the active
-    body crosses the rotation threshold it is published under its
-    checkpoint-numbered name with the latest round's artifact beside
-    it, both via atomic write + rename.  The artifact record is a thunk,
+    body crosses the rotation threshold (256 KiB) the segment file is
+    closed and renamed to its checkpoint-numbered name, with the latest
+    round's artifact beside it (atomic write + rename).  The artifact
+    record is a thunk,
     forced only for rounds that actually publish (or that a recovery
     verifies) — superseded rounds cost nothing. *)
 val checkpoint : t -> ckpt:int -> at:int -> (unit -> checkpoint) -> unit

@@ -338,6 +338,57 @@ let journal_disk_case () =
   | Error _ -> ()
   | Ok _ -> fail "torn segment passed verification"
 
+(* Enough frames to cross the rotation threshold twice: every rotated
+   segment is published under its checkpoint-numbered name, the drain
+   publishes the rest, no .tmp survives, and verification sees every
+   frame exactly once. *)
+let journal_rotation_case () =
+  let dir = temp_journal_dir () in
+  let j = Journal.create ~dir ~shard:0 () in
+  let ev = List.hd (Trace.standard ~length:1 ~n_targets:1 ()).Trace.tr_events in
+  let events = 6_000 in
+  for i = 0 to events - 1 do
+    let ev = { ev with Trace.ev_index = i } in
+    Journal.note_admit j ~at:(i * 10) ~seq:i ev;
+    Journal.note_complete j ~seq:i ev ~interp_only:false ~force_oracle:false
+      ~real_compile:(i mod 7 = 0);
+    if i mod 2 = 1 then
+      Journal.checkpoint j ~ckpt:(i / 2) ~at:(i * 10) (fun () ->
+          {
+            Journal.ck_shard = 0;
+            ck_ckpt = i / 2;
+            ck_at = i * 10;
+            ck_cache_rows = [];
+            ck_tier_rows = [];
+            ck_counters = [];
+            ck_breaker_open = 0;
+          })
+  done;
+  Journal.finalize j;
+  let files = Array.to_list (Sys.readdir dir) in
+  let rotated =
+    List.filter
+      (fun f ->
+        Filename.check_suffix f ".vjl"
+        && not (String.equal f "shard-0.final.vjl"))
+      files
+  in
+  check_bool "rotated at least twice" true (List.length rotated >= 2);
+  check_int "segment count" (List.length rotated + 1) (Journal.segments j);
+  check_bool "final segment published" true
+    (List.mem "shard-0.final.vjl" files);
+  check_bool "no .tmp after drain" false
+    (List.exists (fun f -> Filename.check_suffix f ".tmp") files);
+  match Journal.verify_dir dir with
+  | Error m -> fail ("verify_dir after rotation: " ^ m)
+  | Ok s ->
+    check_int "segments verified" (List.length rotated + 1)
+      s.Journal.ds_segments;
+    check_int "every admission once" events s.Journal.ds_admits;
+    check_int "every completion once" events s.Journal.ds_completes;
+    check_int "one artifact per published segment" (List.length rotated + 1)
+      s.Journal.ds_checkpoints
+
 (* --- restart-limit escalation: interp-only, then typed shedding ----------- *)
 
 let shedding_escalation_case () =
@@ -534,6 +585,8 @@ let () =
             store_merge_integrity_case;
           Alcotest.test_case "journal segments verify on disk" `Quick
             journal_disk_case;
+          Alcotest.test_case "segments rotate by size" `Quick
+            journal_rotation_case;
         ] );
       ( "escalation",
         [
